@@ -30,10 +30,44 @@ benchRunner()
     return Runner(opts);
 }
 
-std::vector<BenchResults>
-runMatrix(const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
-          double apw_scale, std::uint64_t seed,
-          const std::vector<OrgKind> &orgs)
+bool
+BenchResults::ok(OrgKind kind) const
+{
+    const auto it = byOrg.find(kind);
+    return it != byOrg.end() && it->second.status == RunStatus::Ok;
+}
+
+bool
+BenchResults::complete() const
+{
+    for (const auto &[kind, result] : byOrg) {
+        if (result.status != RunStatus::Ok)
+            return false;
+    }
+    return true;
+}
+
+std::optional<double>
+BenchResults::speedupOf(OrgKind kind) const
+{
+    if (!ok(OrgKind::MemorySide) || !ok(kind))
+        return std::nullopt;
+    return speedup(byOrg.at(OrgKind::MemorySide), byOrg.at(kind));
+}
+
+std::string
+BenchResults::speedupCell(OrgKind kind) const
+{
+    if (const auto s = speedupOf(kind))
+        return report::times(*s);
+    // Name the run that has no result: this one, else the baseline.
+    return toString(byOrg.at(ok(kind) ? OrgKind::MemorySide : kind).status);
+}
+
+ExperimentPlan
+matrixPlan(const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
+           double apw_scale, std::uint64_t seed,
+           const std::vector<OrgKind> &orgs)
 {
     ExperimentPlan plan;
     for (const auto &profile : profiles) {
@@ -48,39 +82,62 @@ runMatrix(const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
         }
         plan.addOrgSweep(p, cfg, orgs, seed);
     }
+    return plan;
+}
 
-    const auto records = benchRunner().run(plan);
-
+std::vector<BenchResults>
+groupMatrix(const ExperimentPlan &plan, const std::vector<RunRecord> &records,
+            std::size_t num_orgs)
+{
     // Plan order is profiles × orgs, so record i belongs to profile
-    // i / orgs.size() — regroup into the per-benchmark shape.
+    // i / num_orgs — regroup into the per-benchmark shape.
     std::vector<BenchResults> out;
-    out.reserve(profiles.size());
+    out.reserve(records.size() / num_orgs);
     for (std::size_t i = 0; i < records.size(); ++i) {
-        const std::size_t p = i / orgs.size();
-        if (i % orgs.size() == 0) {
+        if (i % num_orgs == 0) {
             BenchResults res;
             res.profile = plan[i].profile;
             out.push_back(std::move(res));
         }
-        out[p].byOrg.emplace(plan[i].org, records[i].result);
+        out.back().byOrg.emplace(plan[i].org, records[i].result);
     }
     return out;
 }
 
-std::map<OrgKind, double>
-hmeanSpeedups(const std::vector<BenchResults> &results)
+std::vector<BenchResults>
+runMatrix(const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
+          double apw_scale, std::uint64_t seed,
+          const std::vector<OrgKind> &orgs)
 {
-    std::map<OrgKind, double> out;
-    if (results.empty())
-        return out;
-    for (const auto &[kind, first] : results.front().byOrg) {
-        (void)first;
-        std::vector<double> speedups;
-        speedups.reserve(results.size());
-        for (const auto &r : results)
-            speedups.push_back(r.speedupOf(kind));
-        out.emplace(kind, harmonicMean(speedups));
+    const ExperimentPlan plan =
+        matrixPlan(profiles, cfg, apw_scale, seed, orgs);
+    return groupMatrix(plan, benchRunner().run(plan), orgs.size());
+}
+
+std::map<OrgKind, double>
+hmeanSpeedups(const std::vector<BenchResults> &results, std::ostream &log)
+{
+    std::map<OrgKind, std::vector<double>> speedups;
+    std::string skipped;
+    std::size_t num_skipped = 0;
+    for (const auto &r : results) {
+        if (!r.complete()) {
+            skipped += (num_skipped++ ? ", " : "") + r.profile.name;
+            continue;
+        }
+        for (const auto &[kind, result] : r.byOrg) {
+            (void)result;
+            speedups[kind].push_back(r.speedupOf(kind).value());
+        }
     }
+    if (num_skipped) {
+        log << "hmean: skipped " << num_skipped
+            << " benchmark(s) with runs that did not complete: " << skipped
+            << "\n";
+    }
+    std::map<OrgKind, double> out;
+    for (const auto &[kind, values] : speedups)
+        out.emplace(kind, harmonicMean(values));
     return out;
 }
 

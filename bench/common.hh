@@ -18,6 +18,7 @@
 
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,17 +54,41 @@ unsigned benchJobs();
 /** A Runner configured for benches: SAC_JOBS workers, stderr progress. */
 Runner benchRunner();
 
-/** One benchmark's results across organizations. */
+/**
+ * One benchmark's results across organizations. A run whose status
+ * is not ok (a failed, timed-out or livelocked job) stays in byOrg
+ * with its status; it has no speedup and prints as its status.
+ */
 struct BenchResults
 {
     WorkloadProfile profile;
     std::map<OrgKind, RunResult> byOrg;
 
-    double speedupOf(OrgKind kind) const
-    {
-        return speedup(byOrg.at(OrgKind::MemorySide), byOrg.at(kind));
-    }
+    /** True when @p kind ran and completed with status ok. */
+    bool ok(OrgKind kind) const;
+    /** True when every organization in byOrg completed. */
+    bool complete() const;
+
+    /**
+     * Speedup of @p kind over the memory-side run; nullopt when
+     * either run did not complete.
+     */
+    std::optional<double> speedupOf(OrgKind kind) const;
+
+    /** Table cell: the speedup as "1.23x", or the failing status. */
+    std::string speedupCell(OrgKind kind) const;
 };
+
+/** The profiles x orgs plan runMatrix executes, in that order. */
+ExperimentPlan matrixPlan(const std::vector<WorkloadProfile> &profiles,
+                          const GpuConfig &cfg, double apw_scale = 1.0,
+                          std::uint64_t seed = 1,
+                          const std::vector<OrgKind> &orgs = allOrgs());
+
+/** Regroups @p records of a matrixPlan into one entry per profile. */
+std::vector<BenchResults> groupMatrix(const ExperimentPlan &plan,
+                                      const std::vector<RunRecord> &records,
+                                      std::size_t num_orgs);
 
 /**
  * Runs @p profiles under the given organizations (default: all five)
@@ -75,9 +100,13 @@ std::vector<BenchResults> runMatrix(
     double apw_scale = 1.0, std::uint64_t seed = 1,
     const std::vector<OrgKind> &orgs = allOrgs());
 
-/** Harmonic mean of each organization's speedups over @p results. */
+/**
+ * Harmonic mean of each organization's speedups over @p results.
+ * Benchmarks with a run that did not complete are skipped, and the
+ * skip is reported on @p log with the count and names.
+ */
 std::map<OrgKind, double> hmeanSpeedups(
-    const std::vector<BenchResults> &results);
+    const std::vector<BenchResults> &results, std::ostream &log = std::cerr);
 
 /** Subset of the suite by names. */
 std::vector<WorkloadProfile> pickBenchmarks(

@@ -32,10 +32,10 @@ study()
                      "SAC"});
     for (const auto &r : results) {
         t.addRow({r.profile.name, r.profile.smSidePreferred ? "SP" : "MP",
-                  report::times(r.speedupOf(OrgKind::SmSide)),
-                  report::times(r.speedupOf(OrgKind::StaticLlc)),
-                  report::times(r.speedupOf(OrgKind::DynamicLlc)),
-                  report::times(r.speedupOf(OrgKind::Sac))});
+                  r.speedupCell(OrgKind::SmSide),
+                  r.speedupCell(OrgKind::StaticLlc),
+                  r.speedupCell(OrgKind::DynamicLlc),
+                  r.speedupCell(OrgKind::Sac)});
     }
 
     std::vector<bench::BenchResults> sp;
@@ -46,13 +46,16 @@ study()
     const auto mp_h = bench::hmeanSpeedups(mp);
     const auto all_h = bench::hmeanSpeedups(results);
 
+    // A group whose every benchmark had a failed run has no mean.
+    const auto cell = [](const std::map<OrgKind, double> &h, OrgKind kind) {
+        const auto it = h.find(kind);
+        return it == h.end() ? std::string("n/a") : report::times(it->second);
+    };
     const auto hrow = [&](const char *name,
                           const std::map<OrgKind, double> &h) {
-        t.addRow({name, "",
-                  report::times(h.at(OrgKind::SmSide)),
-                  report::times(h.at(OrgKind::StaticLlc)),
-                  report::times(h.at(OrgKind::DynamicLlc)),
-                  report::times(h.at(OrgKind::Sac))});
+        t.addRow({name, "", cell(h, OrgKind::SmSide),
+                  cell(h, OrgKind::StaticLlc), cell(h, OrgKind::DynamicLlc),
+                  cell(h, OrgKind::Sac)});
     };
     hrow("HMEAN (SP)", sp_h);
     hrow("HMEAN (MP)", mp_h);
@@ -60,6 +63,10 @@ study()
     t.print(std::cout);
 
     std::cout << "\nHeadline checks:\n";
+    if (all_h.size() < bench::allOrgs().size()) {
+        std::cout << "  no benchmark completed under every organization\n";
+        return;
+    }
     const double sac = all_h.at(OrgKind::Sac);
     bench::paperCompare(std::cout, "SAC vs memory-side", "+76%",
                         report::percent(sac - 1.0));
@@ -76,9 +83,12 @@ study()
     double best_vs_mem = 0.0;
     double best_vs_sm = 0.0;
     for (const auto &r : results) {
-        best_vs_mem = std::max(best_vs_mem, r.speedupOf(OrgKind::Sac));
-        best_vs_sm = std::max(best_vs_sm, r.speedupOf(OrgKind::Sac) /
-                                              r.speedupOf(OrgKind::SmSide));
+        if (!r.complete())
+            continue;
+        const double vs_mem = *r.speedupOf(OrgKind::Sac);
+        best_vs_mem = std::max(best_vs_mem, vs_mem);
+        best_vs_sm =
+            std::max(best_vs_sm, vs_mem / *r.speedupOf(OrgKind::SmSide));
     }
     bench::paperCompare(std::cout, "SAC max vs memory-side", "+157%",
                         report::percent(best_vs_mem - 1.0));

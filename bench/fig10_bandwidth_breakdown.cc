@@ -65,7 +65,10 @@ study()
         for (const auto kind :
              {OrgKind::SmSide, OrgKind::StaticLlc, OrgKind::DynamicLlc,
               OrgKind::Sac}) {
-            const bool faster = r.speedupOf(kind) > 1.0;
+            const auto s = r.speedupOf(kind);
+            if (!s)
+                continue; // a failed run has no speedup to correlate
+            const bool faster = *s > 1.0;
             const bool more_bw =
                 r.byOrg.at(kind).effLlcBw >
                 r.byOrg.at(OrgKind::MemorySide).effLlcBw;

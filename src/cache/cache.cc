@@ -6,18 +6,16 @@
 namespace sac {
 
 SetAssocCache::SetAssocCache(std::uint64_t bytes, int ways,
-                             unsigned line_bytes, unsigned sectors_per_line,
-                             std::unique_ptr<ReplacementPolicy> policy)
+                             unsigned line_bytes, unsigned sectors_per_line)
     : numSets(bytes / (static_cast<std::uint64_t>(ways) * line_bytes)),
       numWays(ways),
       lineBytes(line_bytes),
       lineShift(floorLog2(line_bytes)),
       sectorsPerLine(sectors_per_line),
       split(ways),
-      repl(policy ? std::move(policy) : std::make_unique<LruPolicy>()),
-      lines(numSets * static_cast<std::uint64_t>(ways)),
       tagKeys_(numSets * static_cast<std::uint64_t>(ways), 0),
-      wayScratch_(static_cast<std::size_t>(ways))
+      lastUse_(tagKeys_.size(), 0),
+      lines_(tagKeys_.size())
 {
     SAC_ASSERT(numSets > 0, "cache has zero sets");
     SAC_ASSERT(isPowerOfTwo(numSets), "set count must be a power of two");
@@ -37,24 +35,17 @@ SetAssocCache::setIndex(Addr line_addr) const
            (numSets - 1);
 }
 
-CacheLine *
-SetAssocCache::findLine(Addr line_addr)
+std::size_t
+SetAssocCache::findWay(std::size_t row, std::uint64_t key) const
 {
-    const auto set = setIndex(line_addr);
-    const std::uint64_t key = tagKey(line_addr >> lineShift);
-    const std::uint64_t row = set * static_cast<std::uint64_t>(numWays);
+    // The hottest loop in the simulator: every L1 and LLC access
+    // walks one row of packed keys.
     const std::uint64_t *keys = &tagKeys_[row];
     for (int w = 0; w < numWays; ++w) {
         if (keys[w] == key)
-            return &lines[row + static_cast<std::uint64_t>(w)];
+            return row + static_cast<std::size_t>(w);
     }
-    return nullptr;
-}
-
-const CacheLine *
-SetAssocCache::findLine(Addr line_addr) const
-{
-    return const_cast<SetAssocCache *>(this)->findLine(line_addr);
+    return npos;
 }
 
 CacheAccessResult
@@ -62,30 +53,32 @@ SetAssocCache::access(Addr line_addr, unsigned sector, bool is_write)
 {
     SAC_ASSERT(sector < sectorsPerLine, "sector out of range");
     CacheAccessResult res;
-    CacheLine *line = findLine(line_addr);
-    if (!line)
+    const std::size_t i = findWay(rowOf(line_addr), keyOf(line_addr));
+    if (i == npos)
         return res;
-    line->lastUse = ++useClock;
+    lastUse_[i] = ++useClock;
     const std::uint32_t bit = 1u << sector;
-    if (!(line->sectorValid & bit)) {
+    // A conventional line is valid in its one sector whenever its tag
+    // is, so only sectored caches consult the cold masks on a read.
+    if (sectorsPerLine != 1 && !(lines_[i].sectorValid & bit)) {
         res.sectorMiss = true;
         return res;
     }
     res.hit = true;
-    if (is_write) {
-        if (!line->dirty)
-            ++dirtyCount_;
-        line->dirty = true;
-        line->sectorDirty |= bit;
-    }
+    if (is_write)
+        markDirty(lines_[i], bit);
     return res;
 }
 
 bool
 SetAssocCache::probe(Addr line_addr, unsigned sector) const
 {
-    const CacheLine *line = findLine(line_addr);
-    return line && (line->sectorValid & (1u << sector));
+    const std::size_t i = findWay(rowOf(line_addr), keyOf(line_addr));
+    if (i == npos)
+        return false;
+    // As in access(): a conventional line holds exactly sector 0.
+    return sectorsPerLine == 1 ? sector == 0
+                               : (lines_[i].sectorValid & (1u << sector));
 }
 
 EvictResult
@@ -96,17 +89,15 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
                "bad partition class ", partition);
     EvictResult res;
     const std::uint32_t bit = 1u << sector;
+    const std::size_t row = rowOf(line_addr);
+    const std::uint64_t key = keyOf(line_addr);
 
-    if (CacheLine *line = findLine(line_addr)) {
+    if (const std::size_t i = findWay(row, key); i != npos) {
         // Sector fill into an already-present line.
-        line->sectorValid |= bit;
-        if (dirty) {
-            if (!line->dirty)
-                ++dirtyCount_;
-            line->dirty = true;
-            line->sectorDirty |= bit;
-        }
-        line->lastUse = ++useClock;
+        lines_[i].sectorValid |= bit;
+        if (dirty)
+            markDirty(lines_[i], bit);
+        lastUse_[i] = ++useClock;
         return res;
     }
 
@@ -114,57 +105,59 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
     const int count = partition == partitionLocal ? split : numWays - split;
     SAC_ASSERT(count > 0, "allocation into an empty partition");
 
-    const auto set = setIndex(line_addr);
-    const std::uint64_t row = set * static_cast<std::uint64_t>(numWays);
-    CacheLine *base = &lines[row];
-
-    for (int w = 0; w < numWays; ++w) {
-        wayScratch_[static_cast<std::size_t>(w)] = {base[w].valid,
-                                                    base[w].lastUse};
+    // LRU victim within the partition's ways: the first invalid way,
+    // else the first way with the smallest stamp.
+    const std::uint64_t *keys = &tagKeys_[row];
+    const std::uint64_t *stamps = &lastUse_[row];
+    int victim = first;
+    std::uint64_t oldest = ~0ull;
+    for (int w = first; w < first + count; ++w) {
+        if (keys[w] == 0) {
+            victim = w;
+            break;
+        }
+        if (stamps[w] < oldest) {
+            oldest = stamps[w];
+            victim = w;
+        }
     }
-    const int victim = repl->victim(wayScratch_, first, count);
-    SAC_ASSERT(victim >= first && victim < first + count,
-               "victim outside partition");
 
-    CacheLine &slot = base[victim];
-    if (slot.valid) {
+    const std::size_t slot = row + static_cast<std::size_t>(victim);
+    CacheLine &line = lines_[slot];
+    if (tagKeys_[slot] != 0) {
         res.evicted = true;
-        res.dirty = slot.dirty;
-        res.lineAddr = slot.lineAddr;
-        res.home = slot.home;
-        countRemove(slot);
+        res.dirty = line.dirty;
+        res.lineAddr = line.lineAddr;
+        res.home = line.home;
+        countRemove(line);
     }
-    slot.valid = true;
-    slot.dirty = dirty;
-    slot.lineAddr = line_addr;
-    slot.tag = line_addr >> lineShift;
-    tagKeys_[row + static_cast<std::uint64_t>(victim)] = tagKey(slot.tag);
-    slot.home = home;
-    slot.sectorValid = sectorsPerLine == 1 ? 1u : bit;
-    slot.sectorDirty = dirty ? slot.sectorValid : 0u;
-    slot.lastUse = ++useClock;
-    countInsert(slot);
+    line.lineAddr = line_addr;
+    line.home = home;
+    line.sectorValid = sectorsPerLine == 1 ? 1u : bit;
+    line.sectorDirty = dirty ? line.sectorValid : 0u;
+    line.dirty = dirty;
+    tagKeys_[slot] = key;
+    lastUse_[slot] = ++useClock;
+    countInsert(line);
     return res;
 }
 
 void
-SetAssocCache::flushAll(const std::function<void(const CacheLine &)> &writeback)
+SetAssocCache::flushAll(const LineFn &writeback)
 {
     flushIf([](const CacheLine &) { return true; }, writeback);
 }
 
 void
-SetAssocCache::flushIf(const std::function<bool(const CacheLine &)> &pred,
-                       const std::function<void(const CacheLine &)> &writeback)
+SetAssocCache::flushIf(const LinePred &pred, const LineFn &writeback)
 {
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        CacheLine &line = lines[i];
-        if (!line.valid || !pred(line))
+    for (std::size_t i = 0; i < tagKeys_.size(); ++i) {
+        const CacheLine &line = lines_[i];
+        if (tagKeys_[i] == 0 || !pred(line))
             continue;
         if (line.dirty && writeback)
             writeback(line);
         countRemove(line);
-        line = CacheLine{};
         tagKeys_[i] = 0;
     }
 }
@@ -172,13 +165,12 @@ SetAssocCache::flushIf(const std::function<bool(const CacheLine &)> &pred,
 bool
 SetAssocCache::invalidate(Addr line_addr)
 {
-    if (CacheLine *line = findLine(line_addr)) {
-        countRemove(*line);
-        tagKeys_[static_cast<std::uint64_t>(line - lines.data())] = 0;
-        *line = CacheLine{};
-        return true;
-    }
-    return false;
+    const std::size_t i = findWay(rowOf(line_addr), keyOf(line_addr));
+    if (i == npos)
+        return false;
+    countRemove(lines_[i]);
+    tagKeys_[i] = 0;
+    return true;
 }
 
 void
@@ -187,6 +179,15 @@ SetAssocCache::setWaySplit(int local_ways)
     SAC_ASSERT(local_ways >= 0 && local_ways <= numWays,
                "way split out of range");
     split = local_ways;
+}
+
+void
+SetAssocCache::markDirty(CacheLine &line, std::uint32_t bit)
+{
+    if (!line.dirty)
+        ++dirtyCount_;
+    line.dirty = true;
+    line.sectorDirty |= bit;
 }
 
 void

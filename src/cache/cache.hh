@@ -17,12 +17,11 @@
 #ifndef SAC_CACHE_CACHE_HH
 #define SAC_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/types.hh"
 
 namespace sac {
@@ -31,26 +30,22 @@ namespace sac {
 constexpr int partitionLocal = 0;
 constexpr int partitionRemote = 1;
 
-/** Metadata of one cache line. */
+/**
+ * Cold metadata of one resident line. Tag and recency live in the
+ * cache's hot per-way arrays; this record is only touched by write
+ * hits, fills, evictions, flushes and sectored lookups, and is the
+ * view the flushIf/flushAll callbacks receive.
+ */
 struct CacheLine
 {
-    bool valid = false;
-    bool dirty = false;
     Addr lineAddr = 0;
-    /**
-     * Precomputed lineAddr >> lineShift, maintained by insert(). Tag
-     * probes compare against this directly so findLine does not
-     * redo the shift for every way on every lookup (the hottest loop
-     * in the simulator — every L1 and LLC access walks it).
-     */
-    Addr tag = 0;
     /** Home chip of the line (writeback destination for replicas). */
     ChipId home = invalidChip;
     /** Bitmask of valid sectors (all set for conventional caches). */
     std::uint32_t sectorValid = 0;
     /** Bitmask of dirty sectors. */
     std::uint32_t sectorDirty = 0;
-    std::uint64_t lastUse = 0;
+    bool dirty = false;
 };
 
 /** Outcome of a cache access. */
@@ -72,8 +67,14 @@ struct EvictResult
 };
 
 /**
- * Tag array with LRU (or pluggable) replacement, optional sectoring
- * and a two-class way partition.
+ * Tag array with LRU replacement, optional sectoring and a two-class
+ * way partition.
+ *
+ * The per-way state is a struct of arrays indexed set * ways + way.
+ * The hot arrays are the ones every lookup walks: the packed tag key
+ * and the LRU stamp, 16 bytes per way, so a probe of a 16-way LLC
+ * set touches two host cache lines of keys and a hit one more for
+ * its stamp. Everything else sits in the cold CacheLine array.
  */
 class SetAssocCache
 {
@@ -83,11 +84,9 @@ class SetAssocCache
      * @param ways associativity
      * @param line_bytes line size
      * @param sectors_per_line 1 for conventional caches
-     * @param policy victim selection (defaults to LRU)
      */
     SetAssocCache(std::uint64_t bytes, int ways, unsigned line_bytes,
-                  unsigned sectors_per_line = 1,
-                  std::unique_ptr<ReplacementPolicy> policy = nullptr);
+                  unsigned sectors_per_line = 1);
 
     /**
      * Looks up @p line_addr / @p sector, updating recency on a tag
@@ -101,7 +100,8 @@ class SetAssocCache
     /**
      * Installs (or completes the sector of) @p line_addr into
      * partition @p partition, evicting a victim from that partition's
-     * ways if needed.
+     * ways if needed: the first invalid way, else the least recently
+     * used one.
      *
      * @param home home chip recorded for writeback routing
      * @param dirty install in dirty state (write allocation)
@@ -109,18 +109,22 @@ class SetAssocCache
     EvictResult insert(Addr line_addr, unsigned sector, ChipId home,
                        bool dirty, int partition);
 
+    /** Callback over a resident line (flush writebacks). */
+    using LineFn = std::function<void(const CacheLine &)>;
+    /** Predicate over a resident line (flush selection). */
+    using LinePred = std::function<bool(const CacheLine &)>;
+
     /**
      * Invalidates every line, returning dirty lines through
      * @p writeback (if provided) before dropping them.
      */
-    void flushAll(const std::function<void(const CacheLine &)> &writeback = {});
+    void flushAll(const LineFn &writeback = {});
 
     /**
      * Invalidates lines matching @p pred (e.g., "home != this chip"),
      * reporting dirty ones through @p writeback first.
      */
-    void flushIf(const std::function<bool(const CacheLine &)> &pred,
-                 const std::function<void(const CacheLine &)> &writeback = {});
+    void flushIf(const LinePred &pred, const LineFn &writeback = {});
 
     /** Invalidates one line if present; returns true when it was. */
     bool invalidate(Addr line_addr);
@@ -132,7 +136,8 @@ class SetAssocCache
     int ways() const { return numWays; }
     std::uint64_t sets() const { return numSets; }
     unsigned sectors() const { return sectorsPerLine; }
-    std::uint64_t capacityBytes() const
+    std::uint64_t
+    capacityBytes() const
     {
         return numSets * static_cast<std::uint64_t>(numWays) * lineBytes;
     }
@@ -144,7 +149,8 @@ class SetAssocCache
     /** Dirty lines currently resident. O(1), see validLines(). */
     std::uint64_t dirtyLines() const { return dirtyCount_; }
     /** Valid lines whose recorded home differs from @p chip. O(1). */
-    std::uint64_t remoteLines(ChipId chip) const
+    std::uint64_t
+    remoteLines(ChipId chip) const
     {
         return validCount_ - homeCount(chip);
     }
@@ -153,25 +159,37 @@ class SetAssocCache
     std::uint64_t setIndex(Addr line_addr) const;
 
   private:
-    CacheLine *findLine(Addr line_addr);
-    const CacheLine *findLine(Addr line_addr) const;
+    static constexpr std::size_t npos = ~std::size_t(0);
 
+    /** First per-way index of @p line_addr's set. */
+    std::size_t
+    rowOf(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(setIndex(line_addr)) *
+               static_cast<std::size_t>(numWays);
+    }
+    /** Per-way index holding @p key in the set at @p row, or npos. */
+    std::size_t findWay(std::size_t row, std::uint64_t key) const;
+    /** Packed probe key for a line: (tag << 1) | valid. */
+    std::uint64_t
+    keyOf(Addr line_addr) const
+    {
+        return (static_cast<std::uint64_t>(line_addr >> lineShift) << 1) |
+               1u;
+    }
+
+    /** Sets @p bit dirty in @p line, counting a newly dirty line. */
+    void markDirty(CacheLine &line, std::uint32_t bit);
     /** Counter bookkeeping for a line entering the valid set. */
     void countInsert(const CacheLine &line);
     /** Counter bookkeeping for a valid line leaving the array. */
     void countRemove(const CacheLine &line);
     /** Resident-line count for one home chip (slot 0 = invalidChip). */
-    std::uint64_t homeCount(ChipId home) const
+    std::uint64_t
+    homeCount(ChipId home) const
     {
         const std::size_t slot = static_cast<std::size_t>(home + 1);
         return slot < homeCount_.size() ? homeCount_[slot] : 0;
-    }
-
-    /** Packed probe key for one way: (tag << 1) | valid. */
-    static std::uint64_t
-    tagKey(Addr tag)
-    {
-        return (static_cast<std::uint64_t>(tag) << 1) | 1u;
     }
 
     std::uint64_t numSets;
@@ -181,18 +199,12 @@ class SetAssocCache
     unsigned sectorsPerLine;
     int split; // ways [0, split) = class 0, [split, ways) = class 1
     std::uint64_t useClock = 0;
-    std::unique_ptr<ReplacementPolicy> repl;
-    std::vector<CacheLine> lines; // numSets x numWays, row-major
-    /**
-     * Mirror of (valid, tag) per way, packed 8 bytes each so a probe
-     * touches one or two cache lines instead of walking the 48-byte
-     * CacheLine records — findLine is the hottest loop in the
-     * simulator (every L1 and LLC access). 0 means invalid;
-     * maintained by every path that flips validity or retags a way.
-     */
-    std::vector<std::uint64_t> tagKeys_; // numSets x numWays, row-major
-    /** Reused by insert() so victim selection never allocates. */
-    std::vector<WayState> wayScratch_;
+    /** Hot: packed tag key per way; 0 means invalid. */
+    std::vector<std::uint64_t> tagKeys_;
+    /** Hot: LRU stamp per way (useClock at the last touch). */
+    std::vector<std::uint64_t> lastUse_;
+    /** Cold: the rest of each way's metadata; meaningful while valid. */
+    std::vector<CacheLine> lines_;
     std::uint64_t validCount_ = 0;
     std::uint64_t dirtyCount_ = 0;
     /** Valid lines per home chip, indexed by home + 1 (invalidChip

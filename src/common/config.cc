@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <limits>
 #include <sstream>
 
 #include "common/bitutil.hh"
@@ -13,14 +14,19 @@ GpuConfig::validate() const
     // Every rejection is a recoverable ValidationError whose context
     // names the offending field, so a sweep engine can report exactly
     // which knob a generated configuration got wrong and keep going.
+    // Packets store chip ids and cluster/warp/slice indices narrow
+    // (PackedChipId, PackedIndex); the upper bounds keep every id a
+    // packet can carry representable.
+    static_assert(16 <= std::numeric_limits<PackedChipId>::max());
+    constexpr int max_index = std::numeric_limits<PackedIndex>::max();
     if (numChips < 1 || numChips > 16)
         invalid("GpuConfig.numChips", "must be in [1, 16], got ", numChips);
-    if (clustersPerChip < 1)
-        invalid("GpuConfig.clustersPerChip", "must be positive, got ",
-                clustersPerChip);
-    if (slicesPerChip < 1)
-        invalid("GpuConfig.slicesPerChip", "must be positive, got ",
-                slicesPerChip);
+    if (clustersPerChip < 1 || clustersPerChip > max_index)
+        invalid("GpuConfig.clustersPerChip", "must be in [1, ", max_index,
+                "], got ", clustersPerChip);
+    if (slicesPerChip < 1 || slicesPerChip > max_index)
+        invalid("GpuConfig.slicesPerChip", "must be in [1, ", max_index,
+                "], got ", slicesPerChip);
     if (channelsPerChip < 1)
         invalid("GpuConfig.channelsPerChip", "must be positive, got ",
                 channelsPerChip);
@@ -64,9 +70,9 @@ GpuConfig::validate() const
     if (interChipBw <= 0)
         invalid("GpuConfig.interChipBw", "must be positive, got ",
                 interChipBw);
-    if (warpsPerCluster < 1)
-        invalid("GpuConfig.warpsPerCluster", "must be positive, got ",
-                warpsPerCluster);
+    if (warpsPerCluster < 1 || warpsPerCluster > max_index)
+        invalid("GpuConfig.warpsPerCluster", "must be in [1, ", max_index,
+                "], got ", warpsPerCluster);
     if (clusterMshrs < 1)
         invalid("GpuConfig.clusterMshrs", "must be positive, got ",
                 clusterMshrs);

@@ -36,6 +36,17 @@ using ChannelId = int;
 constexpr ChipId invalidChip = -1;
 
 /**
+ * Narrow storage types for the topology ids a Packet carries. Every
+ * simulated access copies its Packet through several queues, so the
+ * record is kept to one host cache line; GpuConfig::validate bounds
+ * the topology so every id fits (numChips, clustersPerChip,
+ * warpsPerCluster, slicesPerChip). Interfaces keep ChipId/ClusterId.
+ */
+using PackedChipId = std::int8_t;
+/** Narrow storage for a cluster, warp or slice index (see above). */
+using PackedIndex = std::int16_t;
+
+/**
  * Sentinel "no pending event" for the next-event fast-forward
  * protocol: a component with nothing scheduled reports cycleNever
  * from its nextEventCycle() and the minimum over all components

@@ -95,13 +95,16 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
         const Packet *head = vcQ.peekReady(now);
         if (!head)
             break;
-        if (head->kind == PacketKind::Request && !head->bypassLlc) {
-            const bool present = array.probe(head->lineAddr, head->sector);
-            if (!present && homeMshrs.full() &&
-                !homeMshrs.has(head->lineAddr, head->sector)) {
-                ++stats_.stallsMshrFull;
-                break;
-            }
+        // Head-of-line stall when a fresh miss cannot get an MSHR.
+        // The side-effect-free probe runs last: only a full MSHR file
+        // without an entry for the line needs the tag walk.
+        const bool lookup =
+            head->kind == PacketKind::Request && !head->bypassLlc;
+        if (lookup && homeMshrs.full() &&
+            !homeMshrs.has(head->lineAddr, head->sector) &&
+            !array.probe(head->lineAddr, head->sector)) {
+            ++stats_.stallsMshrFull;
+            break;
         }
         Packet pkt = *head;
         vcQ.popHead();
@@ -139,10 +142,10 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
         SAC_ASSERT(head->kind == PacketKind::Request && !head->bypassLlc &&
                    !head->atHome,
                    "unexpected packet kind in slice request queue");
-        // Head-of-line stall when a fresh miss cannot get an MSHR.
-        const bool present = array.probe(head->lineAddr, head->sector);
-        if (!present && mshrs.full() &&
-            !mshrs.has(head->lineAddr, head->sector)) {
+        // Head-of-line stall when a fresh miss cannot get an MSHR
+        // (probe last, as on the home channel).
+        if (mshrs.full() && !mshrs.has(head->lineAddr, head->sector) &&
+            !array.probe(head->lineAddr, head->sector)) {
             ++stats_.stallsMshrFull;
             break;
         }
@@ -313,9 +316,8 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
     const bool home_level = pkt.atHome && !pkt.homeFilled;
     const int partition = home_level ? pkt.homeAllocPartition
                                      : pkt.allocPartition;
-    const auto evict =
-        array.insert(pkt.lineAddr, pkt.sector, pkt.homeChip,
-                     /*dirty=*/false, partition);
+    const auto evict = array.insert(pkt.lineAddr, pkt.sector, pkt.homeChip,
+                                    /*dirty=*/false, partition);
     if (evict.evicted) {
         if (evict.home != chip_)
             env.directoryEvict(evict.lineAddr, chip_);

@@ -167,6 +167,7 @@ class BwQueue
         Packet pkt;
         Cycle readyAt;
     };
+    static_assert(sizeof(Entry) <= 64, "a queue entry is one cache line");
 
     double bw;
     Cycle latency_;

@@ -41,11 +41,25 @@ WakeQueue::setFlat(bool flat)
     if (flat == flat_)
         return;
     flat_ = flat;
-    if (flat_)
-        return;
     // Returning to sparse: the heap went stale while keys were set
-    // directly. Rebuild it from the authoritative key array — reset
-    // to the identity layout, then a bottom-up heapify (O(n)).
+    // directly. Rebuild it from the authoritative key array.
+    if (!flat_)
+        rebuildHeap();
+}
+
+void
+WakeQueue::raiseKeys(Cycle floor)
+{
+    for (Cycle &k : keys_)
+        k = std::max(k, floor);
+    if (!flat_)
+        rebuildHeap();
+}
+
+void
+WakeQueue::rebuildHeap()
+{
+    // Reset to the identity layout, then a bottom-up heapify (O(n)).
     for (std::size_t i = 0; i < heap_.size(); ++i) {
         heap_[i] = static_cast<ComponentId>(i);
         pos_[i] = static_cast<std::uint32_t>(i);
@@ -203,11 +217,17 @@ Scheduler::updateRegime(std::uint32_t ticked)
 }
 
 void
-Scheduler::onClockJump(Cycle delta)
+Scheduler::onClockJump(Cycle from, Cycle to)
 {
+    const Cycle delta = to - from;
     for (auto &last : lastTickPlus1_)
         last += delta;
     fullTickFloor_ += delta;
+    // Keys left below the landing cycle are all due at it. Raising
+    // them to it makes their (key, ordinal) order the ordinal order
+    // again, so the heap pops them in reference phase order instead
+    // of by stale key.
+    queue_.raiseKeys(to);
 }
 
 void

@@ -141,6 +141,12 @@ class WakeQueue
     bool flat() const { return flat_; }
 
     /**
+     * Raises every key below @p floor to @p floor. Only for a clock
+     * jump, where nothing can tick before @p floor anyway.
+     */
+    void raiseKeys(Cycle floor);
+
+    /**
      * Smallest key over all components; cycleNever when empty. O(1)
      * from the heap root in sparse mode, a linear min-scan of the key
      * array in flat mode (n is small and the scan is branch-free).
@@ -172,6 +178,8 @@ class WakeQueue
     }
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
+    /** Rebuilds the heap from the authoritative key array, O(n). */
+    void rebuildHeap();
 
     std::vector<Component *> comps_; //!< by ordinal
     std::vector<Cycle> keys_;        //!< by ordinal
@@ -250,11 +258,13 @@ class Scheduler
     void runCycle(Cycle now);
 
     /**
-     * The clock jumped @p delta cycles without ticking (kernel-
+     * The clock jumped from @p from to @p to without ticking (kernel-
      * boundary flush stall). The reference loop performs no refills
      * across such a jump, so the replay bookkeeping must skip it too.
+     * Keys below @p to are raised to it, so the components due at
+     * the landing cycle tick in ordinal order.
      */
-    void onClockJump(Cycle delta);
+    void onClockJump(Cycle from, Cycle to);
 
     /**
      * The reference loop ticked every component at @p now

@@ -729,7 +729,7 @@ System::finishKernel()
         if (done > clock) {
             // The reference loop jumps the clock here without ticking
             // anything: exclude the jump from idle-refill replay.
-            sched_.onClockJump(done - clock);
+            sched_.onClockJump(clock, done);
             clock = done;
         }
     }

@@ -211,5 +211,66 @@ TEST(Cache, HotSetFitsAndStays)
     EXPECT_GT(hits, n * 95 / 100);
 }
 
+/** The first @p n line addresses that map to set 0 of @p c. */
+std::vector<Addr>
+sameSet(const SetAssocCache &c, std::size_t n)
+{
+    std::vector<Addr> out;
+    const auto set0 = c.setIndex(0);
+    for (Addr a = 0; out.size() < n; a += lineBytes) {
+        if (c.setIndex(a) == set0)
+            out.push_back(a);
+    }
+    return out;
+}
+
+// Victim selection, through the public API: the first invalid way of
+// the partition, else its least recently used way.
+
+TEST(Lru, PrefersInvalidWays)
+{
+    auto c = smallCache();
+    const auto l = sameSet(c, 5);
+    for (std::size_t i = 0; i < 4; ++i)
+        c.insert(l[i], 0, 0, false, partitionLocal);
+    c.access(l[0], 0, false); // l[1] is now the LRU line
+    ASSERT_TRUE(c.invalidate(l[2]));
+    // The invalid way is taken although a valid way is older.
+    EXPECT_FALSE(c.insert(l[4], 0, 0, false, partitionLocal).evicted);
+    for (const std::size_t i : {0, 1, 3, 4})
+        EXPECT_TRUE(c.probe(l[i], 0)) << i;
+}
+
+TEST(Lru, EvictsLeastRecentlyUsed)
+{
+    auto c = smallCache();
+    const auto l = sameSet(c, 5);
+    for (std::size_t i = 0; i < 4; ++i)
+        c.insert(l[i], 0, 0, false, partitionLocal);
+    // Touch every line but l[1], so the LRU way is a middle one.
+    c.access(l[2], 0, false);
+    c.access(l[3], 0, true);
+    c.access(l[0], 0, false);
+    const auto evict = c.insert(l[4], 0, 0, false, partitionLocal);
+    ASSERT_TRUE(evict.evicted);
+    EXPECT_EQ(evict.lineAddr, l[1]);
+}
+
+TEST(Lru, RespectsPartitionBoundaries)
+{
+    auto c = smallCache();
+    c.setWaySplit(2); // class 0 -> ways [0,2), class 1 -> [2,4)
+    const auto l = sameSet(c, 5);
+    c.insert(l[0], 0, 0, false, partitionLocal); // globally LRU
+    c.insert(l[1], 0, 0, false, partitionLocal);
+    c.insert(l[2], 0, 1, false, partitionRemote);
+    c.insert(l[3], 0, 1, false, partitionRemote);
+    c.access(l[2], 0, false); // l[3] is the remote partition's LRU
+    const auto evict = c.insert(l[4], 0, 1, false, partitionRemote);
+    ASSERT_TRUE(evict.evicted);
+    EXPECT_EQ(evict.lineAddr, l[3]);
+    EXPECT_TRUE(c.probe(l[0], 0));
+}
+
 } // namespace
 } // namespace sac

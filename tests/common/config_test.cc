@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/config.hh"
 #include "common/log.hh"
 
@@ -150,6 +153,53 @@ TEST(Config, ValidationErrorsNameTheOffendingField)
     } catch (const ValidationError &e) {
         EXPECT_EQ(e.context(), "GpuConfig.scaled");
     }
+}
+
+/** Context of the ValidationError @p cfg raises, or "(validated)". */
+std::string
+contextOf(const GpuConfig &cfg)
+{
+    try {
+        cfg.validate();
+    } catch (const ValidationError &e) {
+        return e.context();
+    }
+    return "(validated)";
+}
+
+// Packets carry cluster, warp and slice indices as PackedIndex, so
+// validate() bounds each count by that type's range.
+constexpr int maxPackedIndex = std::numeric_limits<PackedIndex>::max();
+
+TEST(Config, ClustersPerChipIsBoundedByThePacketField)
+{
+    GpuConfig cfg;
+    cfg.clustersPerChip = maxPackedIndex;
+    EXPECT_EQ(contextOf(cfg), "(validated)");
+    cfg.clustersPerChip = maxPackedIndex + 1;
+    EXPECT_EQ(contextOf(cfg), "GpuConfig.clustersPerChip");
+}
+
+TEST(Config, WarpsPerClusterIsBoundedByThePacketField)
+{
+    GpuConfig cfg;
+    cfg.warpsPerCluster = maxPackedIndex;
+    EXPECT_EQ(contextOf(cfg), "(validated)");
+    cfg.warpsPerCluster = maxPackedIndex + 1;
+    EXPECT_EQ(contextOf(cfg), "GpuConfig.warpsPerCluster");
+}
+
+TEST(Config, SlicesPerChipIsBoundedByThePacketField)
+{
+    GpuConfig cfg;
+    // The largest count the bound admits still has to divide the LLC
+    // capacity, which is a later, separate check.
+    cfg.slicesPerChip = maxPackedIndex;
+    EXPECT_NE(contextOf(cfg), "GpuConfig.slicesPerChip");
+    cfg.slicesPerChip = maxPackedIndex + 1;
+    EXPECT_EQ(contextOf(cfg), "GpuConfig.slicesPerChip");
+    cfg.slicesPerChip = 1 << 20;
+    EXPECT_EQ(contextOf(cfg), "GpuConfig.slicesPerChip");
 }
 
 TEST(Config, DerivedQuantities)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,6 +128,37 @@ TEST(SweepProtocol, RejectsMalformedRequests)
                      "{\"schema\":\"sac.sweep.v1\",\"plan\":[{"
                      "\"benchmark\":\"RN\",\"org\":\"l2\"}]}"),
                  ValidationError); // unknown org
+}
+
+TEST(SweepProtocol, ScaleCannotPushTheTopologyPastPacketBounds)
+{
+    // "scale" only divides the paper machine, so scale 1 is the
+    // largest topology a request can reach; it validates with every
+    // id a Packet stores narrow in range.
+    const SweepRequest req = service::parseRequest(
+        "{\"schema\":\"sac.sweep.v1\",\"plan\":[{\"benchmark\":\"RN\","
+        "\"org\":\"sac\",\"scale\":1}]}");
+    ASSERT_EQ(req.plan.size(), 1u);
+    const GpuConfig &cfg = req.plan[0].config;
+    constexpr int max_index = std::numeric_limits<PackedIndex>::max();
+    EXPECT_LE(cfg.numChips, std::numeric_limits<PackedChipId>::max());
+    EXPECT_LE(cfg.clustersPerChip, max_index);
+    EXPECT_LE(cfg.warpsPerCluster, max_index);
+    EXPECT_LE(cfg.slicesPerChip, max_index);
+
+    // Hostile scales fail as a ValidationError naming the field.
+    for (const char *scale : {"0", "3", "65", "99999999999999999999"}) {
+        try {
+            service::parseRequest(
+                std::string("{\"schema\":\"sac.sweep.v1\",\"plan\":[{"
+                            "\"benchmark\":\"RN\",\"scale\":") +
+                scale + "}]}");
+            ADD_FAILURE() << "scale " << scale << " was accepted";
+        } catch (const ValidationError &e) {
+            EXPECT_NE(e.context().find("scale"), std::string::npos)
+                << scale << ": " << e.context();
+        }
+    }
 }
 
 TEST(SweepProtocol, ScenarioSpecBuildsMultiTenantJobs)

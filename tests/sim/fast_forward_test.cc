@@ -98,6 +98,30 @@ TEST(FastForward, SacEndToEndWithBothSharingShapes)
     }
 }
 
+TEST(FastForward, BfsSacAcrossFlushClockJumps)
+{
+    // BFS is the multi-kernel benchmark on which SAC reconfigures, so
+    // every kernel boundary flushes and jumps the clock. At this shape
+    // the event-driven loop once ticked the inter-chip network twice
+    // in one cycle after such a jump (stale pre-jump keys popped ahead
+    // of lower ordinals); it must complete and match the reference.
+    WorkloadProfile bfs = findBenchmark("BFS");
+    for (auto &phase : bfs.phases)
+        phase.accessesPerWarp = 96;
+    ExperimentJob job;
+    job.profile = bfs;
+    job.config = GpuConfig::scaled(4);
+    job.org = OrgKind::Sac;
+    job.seed = 1;
+    const RunRecord ff = ExperimentEngine::runJob(job);
+    job.fastForward = false;
+    const RunRecord ref = ExperimentEngine::runJob(job);
+    ASSERT_EQ(ref.result.status, RunStatus::Ok) << ref.result.diagnostic;
+    EXPECT_EQ(ff.result.status, RunStatus::Ok) << ff.result.diagnostic;
+    EXPECT_GT(ff.result.flushStallCycles, 0u);
+    EXPECT_EQ(result_io::toJson(ff.result), result_io::toJson(ref.result));
+}
+
 TEST(FastForward, SkipsActuallyHappen)
 {
     // Guard against the layer silently degrading into the reference

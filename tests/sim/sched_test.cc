@@ -213,9 +213,63 @@ TEST(SchedulerTest, ClockJumpIsExcludedFromReplay)
     s.runCycle(0);
     // The reference loop also jumps these cycles without refills
     // (kernel-boundary stall): they must not count as idle gap.
-    s.onClockJump(15);
+    s.onClockJump(1, 16);
     s.runCycle(20);
     EXPECT_EQ(a.skipped, 4u); // cycles 16..19 only
+}
+
+TEST(SchedulerTest, ClockJumpRestoresOrdinalOrderForStaleKeys)
+{
+    // A later ordinal keyed before a clock jump must not tick ahead
+    // of an earlier ordinal at the landing cycle. Here "b" (ordinal
+    // 1) is keyed at 5 and the jump lands at 20: popped by stale key
+    // it would tick first, then the waker's same-cycle push (legal:
+    // 0 < 1) would make it due at 20 again and tick it twice.
+    class Waker final : public Component
+    {
+      public:
+        Waker(Scheduler &s, std::vector<std::string> &log)
+            : s_(s), log_(log)
+        {
+        }
+        const char *name() const override { return "w"; }
+        void
+        tick(Cycle now) override
+        {
+            log_.push_back("w@" + std::to_string(now));
+            s_.wake(1, now);
+        }
+        Cycle
+        nextEventCycle(Cycle now) const override
+        {
+            return nextEvent >= now ? nextEvent : now;
+        }
+        Cycle nextEvent = cycleNever;
+
+      private:
+        Scheduler &s_;
+        std::vector<std::string> &log_;
+    };
+
+    Scheduler s;
+    std::vector<std::string> log;
+    Waker w(s, log);
+    FakeComponent b("b");
+    b.log = &log;
+    s.add(w);
+    s.add(b);
+
+    w.nextEvent = 20;
+    b.nextEvent = 5;
+    s.runCycle(0);
+    ASSERT_FALSE(s.denseRegime());
+    EXPECT_EQ(s.queue().keyOf(1), 5u);
+
+    s.onClockJump(1, 20);
+    EXPECT_EQ(s.queue().keyOf(1), 20u);
+    log.clear();
+    EXPECT_NO_THROW(s.runCycle(20));
+    EXPECT_EQ(log, (std::vector<std::string>{"w@20", "b@20"}));
 }
 
 TEST(SchedulerTest, WakeAllMakesEveryComponentDue)
