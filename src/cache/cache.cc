@@ -13,9 +13,8 @@ SetAssocCache::SetAssocCache(std::uint64_t bytes, int ways,
       lineShift(floorLog2(line_bytes)),
       sectorsPerLine(sectors_per_line),
       split(ways),
-      tagKeys_(numSets * static_cast<std::uint64_t>(ways), 0),
-      lastUse_(tagKeys_.size(), 0),
-      lines_(tagKeys_.size())
+      ways_(numSets * static_cast<std::uint64_t>(ways), Way{}),
+      sectors_(sectors_per_line > 1 ? ways_.size() : 0, SectorMasks{})
 {
     SAC_ASSERT(numSets > 0, "cache has zero sets");
     SAC_ASSERT(isPowerOfTwo(numSets), "set count must be a power of two");
@@ -39,10 +38,10 @@ std::size_t
 SetAssocCache::findWay(std::size_t row, std::uint64_t key) const
 {
     // The hottest loop in the simulator: every L1 and LLC access
-    // walks one row of packed keys.
-    const std::uint64_t *keys = &tagKeys_[row];
+    // walks one row of way records.
+    const Way *way = &ways_[row];
     for (int w = 0; w < numWays; ++w) {
-        if (keys[w] == key)
+        if (way[w].key == key)
             return row + static_cast<std::size_t>(w);
     }
     return npos;
@@ -56,17 +55,17 @@ SetAssocCache::access(Addr line_addr, unsigned sector, bool is_write)
     const std::size_t i = findWay(rowOf(line_addr), keyOf(line_addr));
     if (i == npos)
         return res;
-    lastUse_[i] = ++useClock;
+    ways_[i].stamp = nextStamp();
     const std::uint32_t bit = 1u << sector;
     // A conventional line is valid in its one sector whenever its tag
-    // is, so only sectored caches consult the cold masks on a read.
-    if (sectorsPerLine != 1 && !(lines_[i].sectorValid & bit)) {
+    // is, so only sectored caches keep sector masks.
+    if (sectorsPerLine != 1 && !(sectors_[i].valid & bit)) {
         res.sectorMiss = true;
         return res;
     }
     res.hit = true;
     if (is_write)
-        markDirty(lines_[i], bit);
+        markDirty(i, bit);
     return res;
 }
 
@@ -78,7 +77,7 @@ SetAssocCache::probe(Addr line_addr, unsigned sector) const
         return false;
     // As in access(): a conventional line holds exactly sector 0.
     return sectorsPerLine == 1 ? sector == 0
-                               : (lines_[i].sectorValid & (1u << sector));
+                               : (sectors_[i].valid & (1u << sector));
 }
 
 EvictResult
@@ -87,6 +86,8 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
 {
     SAC_ASSERT(partition == partitionLocal || partition == partitionRemote,
                "bad partition class ", partition);
+    SAC_ASSERT(home >= invalidChip && home < 255, "home chip ", home,
+               " does not fit the way record");
     EvictResult res;
     const std::uint32_t bit = 1u << sector;
     const std::size_t row = rowOf(line_addr);
@@ -94,10 +95,11 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
 
     if (const std::size_t i = findWay(row, key); i != npos) {
         // Sector fill into an already-present line.
-        lines_[i].sectorValid |= bit;
+        if (sectorsPerLine != 1)
+            sectors_[i].valid |= bit;
         if (dirty)
-            markDirty(lines_[i], bit);
-        lastUse_[i] = ++useClock;
+            markDirty(i, bit);
+        ways_[i].stamp = nextStamp();
         return res;
     }
 
@@ -107,39 +109,56 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
 
     // LRU victim within the partition's ways: the first invalid way,
     // else the first way with the smallest stamp.
-    const std::uint64_t *keys = &tagKeys_[row];
-    const std::uint64_t *stamps = &lastUse_[row];
+    const Way *ways = &ways_[row];
     int victim = first;
     std::uint64_t oldest = ~0ull;
     for (int w = first; w < first + count; ++w) {
-        if (keys[w] == 0) {
+        if (ways[w].key == 0) {
             victim = w;
             break;
         }
-        if (stamps[w] < oldest) {
-            oldest = stamps[w];
+        if (ways[w].stamp < oldest) {
+            oldest = ways[w].stamp;
             victim = w;
         }
     }
 
     const std::size_t slot = row + static_cast<std::size_t>(victim);
-    CacheLine &line = lines_[slot];
-    if (tagKeys_[slot] != 0) {
+    Way &way = ways_[slot];
+    if (way.key != 0) {
+        const CacheLine victimLine = lineAt(slot);
         res.evicted = true;
-        res.dirty = line.dirty;
-        res.lineAddr = line.lineAddr;
-        res.home = line.home;
-        countRemove(line);
+        res.dirty = victimLine.dirty;
+        res.lineAddr = victimLine.lineAddr;
+        res.home = victimLine.home;
+        countRemove(way);
     }
-    line.lineAddr = line_addr;
-    line.home = home;
-    line.sectorValid = sectorsPerLine == 1 ? 1u : bit;
-    line.sectorDirty = dirty ? line.sectorValid : 0u;
-    line.dirty = dirty;
-    tagKeys_[slot] = key;
-    lastUse_[slot] = ++useClock;
-    countInsert(line);
+    way.key = key;
+    way.stamp = nextStamp();
+    way.homePlus1 = static_cast<std::uint64_t>(home + 1);
+    way.dirty = dirty;
+    if (sectorsPerLine != 1)
+        sectors_[slot] = {bit, dirty ? bit : 0u};
+    countInsert(way);
     return res;
+}
+
+CacheLine
+SetAssocCache::lineAt(std::size_t i) const
+{
+    const Way &way = ways_[i];
+    CacheLine line;
+    line.lineAddr = (way.key >> 1) << lineShift;
+    line.home = static_cast<ChipId>(way.homePlus1) - 1;
+    line.dirty = way.dirty;
+    if (sectorsPerLine == 1) {
+        line.sectorValid = 1u;
+        line.sectorDirty = way.dirty ? 1u : 0u;
+    } else {
+        line.sectorValid = sectors_[i].valid;
+        line.sectorDirty = sectors_[i].dirty;
+    }
+    return line;
 }
 
 void
@@ -151,14 +170,16 @@ SetAssocCache::flushAll(const LineFn &writeback)
 void
 SetAssocCache::flushIf(const LinePred &pred, const LineFn &writeback)
 {
-    for (std::size_t i = 0; i < tagKeys_.size(); ++i) {
-        const CacheLine &line = lines_[i];
-        if (tagKeys_[i] == 0 || !pred(line))
+    for (std::size_t i = 0; i < ways_.size(); ++i) {
+        if (ways_[i].key == 0)
+            continue;
+        const CacheLine line = lineAt(i);
+        if (!pred(line))
             continue;
         if (line.dirty && writeback)
             writeback(line);
-        countRemove(line);
-        tagKeys_[i] = 0;
+        countRemove(ways_[i]);
+        ways_[i].key = 0;
     }
 }
 
@@ -168,8 +189,8 @@ SetAssocCache::invalidate(Addr line_addr)
     const std::size_t i = findWay(rowOf(line_addr), keyOf(line_addr));
     if (i == npos)
         return false;
-    countRemove(lines_[i]);
-    tagKeys_[i] = 0;
+    countRemove(ways_[i]);
+    ways_[i].key = 0;
     return true;
 }
 
@@ -182,37 +203,48 @@ SetAssocCache::setWaySplit(int local_ways)
 }
 
 void
-SetAssocCache::markDirty(CacheLine &line, std::uint32_t bit)
+SetAssocCache::advanceLruClock(std::uint64_t clock)
 {
-    if (!line.dirty)
-        ++dirtyCount_;
-    line.dirty = true;
-    line.sectorDirty |= bit;
+    SAC_ASSERT(clock >= useClock && clock <= maxStamp,
+               "LRU clock may only move forward within the stamp bound");
+    useClock = clock;
 }
 
 void
-SetAssocCache::countInsert(const CacheLine &line)
+SetAssocCache::markDirty(std::size_t i, std::uint32_t bit)
+{
+    Way &way = ways_[i];
+    if (!way.dirty)
+        ++dirtyCount_;
+    way.dirty = true;
+    if (sectorsPerLine != 1)
+        sectors_[i].dirty |= bit;
+}
+
+void
+SetAssocCache::countInsert(const Way &way)
 {
     ++validCount_;
-    if (line.dirty)
+    if (way.dirty)
         ++dirtyCount_;
-    const std::size_t slot = static_cast<std::size_t>(line.home + 1);
-    if (slot >= homeCount_.size())
-        homeCount_.resize(slot + 1, 0);
-    ++homeCount_[slot];
+    const std::size_t homeSlot = way.homePlus1;
+    if (homeSlot >= homeCount_.size())
+        homeCount_.resize(homeSlot + 1, 0);
+    ++homeCount_[homeSlot];
 }
 
 void
-SetAssocCache::countRemove(const CacheLine &line)
+SetAssocCache::countRemove(const Way &way)
 {
     SAC_ASSERT(validCount_ > 0, "removing from an empty cache");
     --validCount_;
-    if (line.dirty)
+    if (way.dirty)
         --dirtyCount_;
-    const std::size_t slot = static_cast<std::size_t>(line.home + 1);
-    SAC_ASSERT(slot < homeCount_.size() && homeCount_[slot] > 0,
-               "home count underflow for chip ", line.home);
-    --homeCount_[slot];
+    const std::size_t homeSlot = way.homePlus1;
+    SAC_ASSERT(homeSlot < homeCount_.size() && homeCount_[homeSlot] > 0,
+               "home count underflow for chip ",
+               static_cast<ChipId>(homeSlot) - 1);
+    --homeCount_[homeSlot];
 }
 
 } // namespace sac

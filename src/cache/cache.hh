@@ -22,6 +22,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace sac {
@@ -31,10 +32,9 @@ constexpr int partitionLocal = 0;
 constexpr int partitionRemote = 1;
 
 /**
- * Cold metadata of one resident line. Tag and recency live in the
- * cache's hot per-way arrays; this record is only touched by write
- * hits, fills, evictions, flushes and sectored lookups, and is the
- * view the flushIf/flushAll callbacks receive.
+ * A resident line as the flushIf/flushAll callbacks see it: a
+ * by-value view assembled from the line's way record (and, on a
+ * sectored cache, its sector masks).
  */
 struct CacheLine
 {
@@ -70,11 +70,14 @@ struct EvictResult
  * Tag array with LRU replacement, optional sectoring and a two-class
  * way partition.
  *
- * The per-way state is a struct of arrays indexed set * ways + way.
- * The hot arrays are the ones every lookup walks: the packed tag key
- * and the LRU stamp, 16 bytes per way, so a probe of a 16-way LLC
- * set touches two host cache lines of keys and a hit one more for
- * its stamp. Everything else sits in the cold CacheLine array.
+ * Each way is one 16-byte Way record indexed set * ways + way: the
+ * packed tag key, the LRU stamp, the home chip and the dirty bit. A
+ * lookup, a hit's stamp update and a fill's victim scan all stay in
+ * the set's own row (four host cache lines for a 16-way LLC set).
+ * Only sectored caches allocate the side array of sector masks.
+ *
+ * Line addresses are line-aligned: a line's address is recovered
+ * from its tag key.
  */
 class SetAssocCache
 {
@@ -129,6 +132,14 @@ class SetAssocCache
     /** Invalidates one line if present; returns true when it was. */
     bool invalidate(Addr line_addr);
 
+    /** LRU stamps are 48 bits wide. A cache whose clock would pass
+     *  this bound fails an assert rather than wrap silently. */
+    static constexpr std::uint64_t maxStamp = (std::uint64_t{1} << 48) - 1;
+
+    /** Moves the LRU clock forward to @p clock (the next touch stamps
+     *  clock + 1). Lets tests reach the stamp bound; never moves back. */
+    void advanceLruClock(std::uint64_t clock);
+
     /** Moves the class-0/class-1 way split (Dynamic LLC). */
     void setWaySplit(int local_ways);
     int waySplit() const { return split; }
@@ -161,6 +172,27 @@ class SetAssocCache
   private:
     static constexpr std::size_t npos = ~std::size_t(0);
 
+    /** One way's state. key == 0 means the way is invalid; the other
+     *  fields are meaningful only while it is valid. */
+    struct Way
+    {
+        /** Packed probe key: (tag << 1) | 1. */
+        std::uint64_t key;
+        /** LRU stamp: useClock at the last touch. */
+        std::uint64_t stamp : 48;
+        /** Home chip + 1 (0 = invalidChip); numChips <= 16. */
+        std::uint64_t homePlus1 : 8;
+        std::uint64_t dirty : 1;
+    };
+    static_assert(sizeof(Way) == 16, "Way outgrew its 16-byte budget");
+
+    /** Valid and dirty sector bitmasks of one way (sectored caches). */
+    struct SectorMasks
+    {
+        std::uint32_t valid;
+        std::uint32_t dirty;
+    };
+
     /** First per-way index of @p line_addr's set. */
     std::size_t
     rowOf(Addr line_addr) const
@@ -177,13 +209,22 @@ class SetAssocCache
         return (static_cast<std::uint64_t>(line_addr >> lineShift) << 1) |
                1u;
     }
+    /** The flush callbacks' view of the valid way @p i. */
+    CacheLine lineAt(std::size_t i) const;
+    /** The next LRU stamp. */
+    std::uint64_t
+    nextStamp()
+    {
+        SAC_ASSERT(useClock < maxStamp, "LRU clock passed the 48-bit bound");
+        return ++useClock;
+    }
 
-    /** Sets @p bit dirty in @p line, counting a newly dirty line. */
-    void markDirty(CacheLine &line, std::uint32_t bit);
-    /** Counter bookkeeping for a line entering the valid set. */
-    void countInsert(const CacheLine &line);
-    /** Counter bookkeeping for a valid line leaving the array. */
-    void countRemove(const CacheLine &line);
+    /** Sets @p bit dirty in way @p i, counting a newly dirty line. */
+    void markDirty(std::size_t i, std::uint32_t bit);
+    /** Counter bookkeeping for a way entering the valid set. */
+    void countInsert(const Way &way);
+    /** Counter bookkeeping for a valid way leaving the array. */
+    void countRemove(const Way &way);
     /** Resident-line count for one home chip (slot 0 = invalidChip). */
     std::uint64_t
     homeCount(ChipId home) const
@@ -199,12 +240,10 @@ class SetAssocCache
     unsigned sectorsPerLine;
     int split; // ways [0, split) = class 0, [split, ways) = class 1
     std::uint64_t useClock = 0;
-    /** Hot: packed tag key per way; 0 means invalid. */
-    std::vector<std::uint64_t> tagKeys_;
-    /** Hot: LRU stamp per way (useClock at the last touch). */
-    std::vector<std::uint64_t> lastUse_;
-    /** Cold: the rest of each way's metadata; meaningful while valid. */
-    std::vector<CacheLine> lines_;
+    /** Per-way records, set * ways + way. */
+    std::vector<Way> ways_;
+    /** Per-way sector masks; empty unless sectorsPerLine > 1. */
+    std::vector<SectorMasks> sectors_;
     std::uint64_t validCount_ = 0;
     std::uint64_t dirtyCount_ = 0;
     /** Valid lines per home chip, indexed by home + 1 (invalidChip

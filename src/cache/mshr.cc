@@ -9,22 +9,51 @@ MshrFile::MshrFile(std::size_t entries) : cap(entries), table(entries)
     SAC_ASSERT(cap > 0, "MSHR file needs at least one entry");
 }
 
+std::uint32_t
+MshrFile::newTarget(const Packet &pkt)
+{
+    std::uint32_t i = freeHead;
+    if (i != none) {
+        freeHead = pool[i].next;
+        pool[i] = {pkt, none};
+        return i;
+    }
+    SAC_ASSERT(pool.size() < none, "MSHR target pool overflow");
+    i = static_cast<std::uint32_t>(pool.size());
+    pool.push_back({pkt, none});
+    return i;
+}
+
+void
+MshrFile::release(const Chain &chain, std::vector<Packet> &out)
+{
+    std::uint32_t i = chain.head;
+    while (i != none) {
+        Target &t = pool[i];
+        out.push_back(t.pkt);
+        const std::uint32_t next = t.next;
+        t.next = freeHead;
+        freeHead = i;
+        i = next;
+    }
+}
+
 MshrFile::Outcome
 MshrFile::allocate(const Packet &pkt)
 {
     const auto k = key(pkt.lineAddr, pkt.sector);
-    if (auto *targets = table.find(k)) {
-        targets->push_back(pkt);
+    if (Chain *chain = table.find(k)) {
+        const std::uint32_t i = newTarget(pkt);
+        pool[chain->tail].next = i;
+        chain->tail = i;
         return Outcome::Merged;
     }
     if (table.size() >= cap)
         return Outcome::Full;
-    auto [targets, inserted] = table.emplace(k);
+    const std::uint32_t i = newTarget(pkt);
+    auto [chain, inserted] = table.emplace(k);
     SAC_ASSERT(inserted, "racing MSHR insert");
-    // The slot's vector is recycled (ProbeMap contract): clear it,
-    // keeping its capacity from earlier occupants.
-    targets->clear();
-    targets->push_back(pkt);
+    *chain = {i, i};
     return Outcome::Primary;
 }
 
@@ -38,20 +67,20 @@ void
 MshrFile::complete(Addr line_addr, unsigned sector, std::vector<Packet> &out)
 {
     const auto k = key(line_addr, sector);
-    auto *targets = table.find(k);
-    if (!targets)
+    const Chain *chain = table.find(k);
+    if (!chain)
         return;
-    out.insert(out.end(), targets->begin(), targets->end());
+    release(*chain, out);
     table.erase(k);
 }
 
 void
 MshrFile::drainAll(std::vector<Packet> &out)
 {
-    table.forEach([&out](std::uint64_t, std::vector<Packet> &targets) {
-        out.insert(out.end(), targets.begin(), targets.end());
-    });
+    table.forEach([&](std::uint64_t, Chain &c) { release(c, out); });
     table.clear();
+    pool.clear();
+    freeHead = none;
 }
 
 } // namespace sac

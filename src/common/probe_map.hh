@@ -8,17 +8,11 @@
  * keys, values and occupancy flags in three flat power-of-two arrays
  * (linear probing, multiplicative hashing, backward-shift deletion),
  * so steady-state insert/erase cycles touch no allocator at all.
+ * Values are small plain records (a chip id, an MSHR chain) that erase
+ * moves and emplace value-initializes.
  *
- * Slot recycling contract: erase() and clear() leave the stored value
- * objects in place, and emplace() hands a *recycled* value back when
- * it lands on such a slot — the caller must reset it (e.g. clear() a
- * vector, which keeps its capacity; plain assignment for scalars).
- * This is what makes a map of std::vector payloads allocation-free in
- * steady state: erased vectors' capacities circulate through the
- * table instead of being freed.
- *
- * Keys are raw 64-bit values; any key is valid (occupancy lives in a
- * separate state array, not in a sentinel key).
+ * Keys are raw 64-bit values; any key is valid, zero included
+ * (occupancy lives in a separate state array, not in a sentinel key).
  */
 
 #ifndef SAC_COMMON_PROBE_MAP_HH
@@ -45,6 +39,19 @@ class ProbeMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Slots in the table (a power of two). */
+    std::size_t slots() const { return mask_ + 1; }
+
+    /** The slot where @p k's probe sequence starts. */
+    std::size_t
+    home(std::uint64_t k) const
+    {
+        // Fibonacci hashing spreads clustered line addresses across
+        // the table; the high product bits select the slot.
+        return static_cast<std::size_t>(
+                   (k * 0x9E3779B97F4A7C15ULL) >> 32) &
+               mask_;
+    }
 
     /** Value for @p k, or null when absent. */
     V *
@@ -65,8 +72,7 @@ class ProbeMap
 
     /**
      * Finds or inserts @p k. Returns the value slot and whether the
-     * key was newly inserted; a newly inserted slot's value is
-     * recycled, not fresh — the caller resets it (see file comment).
+     * key was newly inserted; a new key's value is value-initialized.
      */
     std::pair<V *, bool>
     emplace(std::uint64_t k)
@@ -78,11 +84,12 @@ class ProbeMap
             return {&vals_[i], false};
         state_[i] = 1;
         keys_[i] = k;
+        vals_[i] = V{};
         ++size_;
         return {&vals_[i], true};
     }
 
-    /** Removes @p k; false when absent. The value object is recycled. */
+    /** Removes @p k; false when absent. */
     bool
     erase(std::uint64_t k)
     {
@@ -90,8 +97,7 @@ class ProbeMap
         if (!state_[free])
             return false;
         // Backward-shift deletion: walk the cluster after the hole and
-        // pull back every entry whose probe path crosses it, swapping
-        // values so the erased payload's storage stays in the table.
+        // pull back every entry whose probe path crosses it.
         std::size_t j = free;
         while (true) {
             j = (j + 1) & mask_;
@@ -100,7 +106,7 @@ class ProbeMap
             const std::size_t h = home(keys_[j]);
             if (((j - h) & mask_) >= ((j - free) & mask_)) {
                 keys_[free] = keys_[j];
-                std::swap(vals_[free], vals_[j]);
+                vals_[free] = vals_[j];
                 free = j;
             }
         }
@@ -120,7 +126,7 @@ class ProbeMap
         }
     }
 
-    /** Forgets every entry; value objects stay for recycling. */
+    /** Forgets every entry; keeps the table's size. */
     void
     clear()
     {
@@ -137,16 +143,6 @@ class ProbeMap
         while (n * 3 < expected * 4)
             n *= 2;
         return n;
-    }
-
-    std::size_t
-    home(std::uint64_t k) const
-    {
-        // Fibonacci hashing spreads clustered line addresses across
-        // the table; the high product bits select the slot.
-        return static_cast<std::size_t>(
-                   (k * 0x9E3779B97F4A7C15ULL) >> 32) &
-               mask_;
     }
 
     /** Slot holding @p k, or the empty slot where it would go. */

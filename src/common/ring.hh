@@ -43,7 +43,8 @@ class Ring
 
     /** @p i-th element from the front (0 == front()). */
     T &operator[](std::size_t i) { return buf_[wrap(head_ + i)]; }
-    const T &operator[](std::size_t i) const
+    const T &
+    operator[](std::size_t i) const
     {
         return buf_[wrap(head_ + i)];
     }
@@ -57,12 +58,17 @@ class Ring
         ++size_;
     }
 
-    /** Removes the front element. @pre !empty(). */
+    /**
+     * Removes the front element. A ring that drains rewinds to slot 0,
+     * so a queue that peaked once keeps cycling through the few slots
+     * its usual depth needs, not its whole high-water capacity.
+     * @pre !empty().
+     */
     void
     pop_front()
     {
-        head_ = wrap(head_ + 1);
         --size_;
+        head_ = size_ == 0 ? 0 : wrap(head_ + 1);
     }
 
     /** Forgets all elements; keeps the backing storage. */

@@ -91,8 +91,11 @@ SmCluster::issueOne(Cycle now, ClusterEnv &env)
 
     // A warp resuming from a structural stall re-issues the access it
     // drew when it parked; the trace is independent of stall length.
-    const MemAccess acc =
+    MemAccess acc =
         warp.hasStalled ? warp.stalled : trace_.next(chip_, id_, w);
+    // The caches name a line by its aligned address; a replayed trace
+    // file may give any byte address within the line.
+    acc.lineAddr &= ~static_cast<Addr>(cfg_.lineBytes - 1);
     warp.hasStalled = false;
     if (acc.type == AccessType::Write) {
         if (outstandingWrites >= cfg_.clusterMshrs) {

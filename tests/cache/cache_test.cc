@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 
 namespace sac {
@@ -270,6 +272,99 @@ TEST(Lru, RespectsPartitionBoundaries)
     ASSERT_TRUE(evict.evicted);
     EXPECT_EQ(evict.lineAddr, l[3]);
     EXPECT_TRUE(c.probe(l[0], 0));
+}
+
+
+TEST(Cache, FlushViewRoundTripsLineState)
+{
+    // The flush callbacks see a CacheLine view rebuilt from the way
+    // record and the sector masks: every field must come back as the
+    // fills and writes left it.
+    auto c = smallCache(4);
+    const auto l = sameSet(c, 3);
+    c.insert(l[0], 1, /*home=*/2, /*dirty=*/true, partitionLocal);
+    c.insert(l[0], 3, 2, false, partitionLocal); // clean sector fill
+    c.insert(l[1], 0, invalidChip, false, partitionLocal);
+    c.insert(l[1], 2, invalidChip, false, partitionLocal);
+    c.access(l[1], 2, /*is_write=*/true);
+    c.insert(l[2], 3, /*home=*/15, false, partitionLocal);
+
+    std::vector<CacheLine> seen;
+    std::vector<CacheLine> written;
+    c.flushIf(
+        [&](const CacheLine &line) {
+            seen.push_back(line);
+            return true;
+        },
+        [&](const CacheLine &line) { written.push_back(line); });
+    ASSERT_EQ(seen.size(), 3u);
+    const auto view = [&](Addr a) {
+        for (const auto &line : seen) {
+            if (line.lineAddr == a)
+                return line;
+        }
+        ADD_FAILURE() << "no view for line " << a;
+        return CacheLine{};
+    };
+    const CacheLine v0 = view(l[0]);
+    EXPECT_EQ(v0.home, 2);
+    EXPECT_TRUE(v0.dirty);
+    EXPECT_EQ(v0.sectorValid, 0b1010u);
+    EXPECT_EQ(v0.sectorDirty, 0b0010u);
+    const CacheLine v1 = view(l[1]);
+    EXPECT_EQ(v1.home, invalidChip);
+    EXPECT_TRUE(v1.dirty);
+    EXPECT_EQ(v1.sectorValid, 0b0101u);
+    EXPECT_EQ(v1.sectorDirty, 0b0100u);
+    const CacheLine v2 = view(l[2]);
+    EXPECT_EQ(v2.home, 15);
+    EXPECT_FALSE(v2.dirty);
+    EXPECT_EQ(v2.sectorValid, 0b1000u);
+    EXPECT_EQ(v2.sectorDirty, 0u);
+    // Only the dirty lines are written back.
+    ASSERT_EQ(written.size(), 2u);
+    for (const auto &line : written)
+        EXPECT_TRUE(line.lineAddr == l[0] || line.lineAddr == l[1]);
+    EXPECT_EQ(c.validLines(), 0u);
+    EXPECT_EQ(c.dirtyLines(), 0u);
+}
+
+TEST(Cache, ConventionalFlushViewHasOneSector)
+{
+    auto c = smallCache();
+    c.insert(0x1000, 0, 3, true, partitionLocal);
+    c.insert(0x2000, 0, 0, false, partitionLocal);
+    std::vector<CacheLine> written;
+    c.flushAll([&](const CacheLine &line) { written.push_back(line); });
+    ASSERT_EQ(written.size(), 1u);
+    EXPECT_EQ(written[0].lineAddr, 0x1000u);
+    EXPECT_EQ(written[0].home, 3);
+    EXPECT_EQ(written[0].sectorValid, 1u);
+    EXPECT_EQ(written[0].sectorDirty, 1u);
+}
+
+TEST(Lru, StampsUpToTheBoundThenFailLoudly)
+{
+    // The 48-bit stamps never wrap: LRU order holds right up to the
+    // bound, and the touch that would pass it panics.
+    auto c = smallCache();
+    const auto l = sameSet(c, 5);
+    c.advanceLruClock(SetAssocCache::maxStamp - 6);
+    for (std::size_t i = 0; i < 4; ++i)
+        c.insert(l[i], 0, 0, false, partitionLocal);
+    c.access(l[0], 0, false); // l[1] is now the LRU line
+    // This fill takes maxStamp itself.
+    const auto evict = c.insert(l[4], 0, 0, false, partitionLocal);
+    ASSERT_TRUE(evict.evicted);
+    EXPECT_EQ(evict.lineAddr, l[1]);
+    try {
+        c.access(l[0], 0, false);
+        FAIL() << "a stamp past the bound was handed out";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("48-bit"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(c.advanceLruClock(0), PanicError);
 }
 
 } // namespace

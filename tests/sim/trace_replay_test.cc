@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sim/system.hh"
 #include "workload/trace_file.hh"
@@ -93,6 +94,56 @@ TEST(TraceReplay, ReplayUnderDifferentOrganizationWorks)
     const auto r = sys.run(ks);
     EXPECT_GT(r.accesses, 0u);
     EXPECT_GT(r.llcRemoteFraction, 0.0);
+}
+
+TEST(TraceReplay, ByteAddressesWithinALineReplayAsTheLine)
+{
+    // A trace may name any byte of a line; the caches and MSHRs must
+    // treat it as the line itself.
+    const auto c = cfg();
+    const auto p = profile();
+    const std::vector<KernelDescriptor> ks{{0, "k", 48}};
+    std::ostringstream trace_text;
+    {
+        SharingTraceGen gen(p, c, 1);
+        TraceRecorder rec(gen, trace_text);
+        System sys(c, OrgKind::Sac, rec);
+        sys.run(ks);
+    }
+    // Move every address to some byte inside its line.
+    std::istringstream in(trace_text.str());
+    std::ostringstream shifted;
+    std::string line;
+    unsigned n = 0;
+    while (std::getline(in, line)) {
+        std::istringstream ls(line);
+        std::string chip, cluster, warp, rest;
+        Addr addr = 0;
+        if (line.empty() || line[0] == '#' ||
+            !(ls >> chip >> cluster >> warp >> std::hex >> addr)) {
+            shifted << line << '\n';
+            continue;
+        }
+        std::getline(ls, rest);
+        addr += (++n * 37) % c.lineBytes;
+        shifted << chip << ' ' << cluster << ' ' << warp << ' ' << std::hex
+                << addr << std::dec << rest << '\n';
+    }
+    ASSERT_GT(n, 0u);
+
+    const auto replay = [&](const std::string &text) {
+        std::istringstream is(text);
+        TraceFileSource src(is);
+        System sys(c, OrgKind::Sac, src);
+        return sys.run(ks);
+    };
+    const RunResult aligned = replay(trace_text.str());
+    const RunResult unaligned = replay(shifted.str());
+    EXPECT_EQ(aligned.cycles, unaligned.cycles);
+    EXPECT_EQ(aligned.llcRequests, unaligned.llcRequests);
+    EXPECT_EQ(aligned.llcHits, unaligned.llcHits);
+    EXPECT_EQ(aligned.icnBytes, unaligned.icnBytes);
+    EXPECT_EQ(aligned.avgLoadLatency, unaligned.avgLoadLatency);
 }
 
 /** Seed sweep: invariants hold for arbitrary seeds. */
