@@ -1,20 +1,46 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <cinttypes>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/log.hh"
 
 namespace sac::json {
 
-std::string
-escape(const std::string &s)
+namespace {
+
+/** True when @p v's mantissa field is all zero (a power of two, or
+ *  zero): the one case whose round-trip interval is asymmetric. */
+bool
+zeroMantissa(double v)
 {
-    std::string out = "\"";
-    for (const char c : s) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return (bits & ((std::uint64_t{1} << 52) - 1)) == 0;
+}
+
+} // namespace
+
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    // Plain runs go out in one append; only the escaped bytes are
+    // written one at a time.
+    std::size_t plain = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        out.append(s.data() + plain, i - plain);
+        plain = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -22,44 +48,97 @@ escape(const std::string &s)
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += hex[(c >> 4) & 0xf];
+            out += hex[c & 0xf];
         }
     }
+    out.append(s.data() + plain, s.size() - plain);
     out += '"';
+}
+
+std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendEscaped(out, s);
     return out;
+}
+
+void
+appendNumber(std::string &out, double v)
+{
+    // The fewest significant digits in 15..17 that round-trip: most
+    // doubles that occur in practice (2.3, 0.25, ...) are exact at 15
+    // or 16, and print so (2.3, not 2.2999999999999998); only the
+    // rest need all max_digits10 == 17. The shortest round-trip form
+    // has d digits, so no precision below d round-trips, and every
+    // precision from d up does — except possibly at a power of two,
+    // whose lower neighbour is half as far as its upper one; there
+    // the candidate is re-read to check it. to_chars at a precision
+    // prints exactly what printf("%.*g") does.
+    char buf[64];
+    if (!std::isfinite(v)) {
+        std::snprintf(buf, sizeof buf, "%.17g", v); // "inf", "-nan", ...
+        out += buf;
+        return;
+    }
+    char *const end = buf + sizeof buf;
+    char *last = std::to_chars(buf, end, v,
+                                     std::chars_format::scientific).ptr;
+    int digits = 0;
+    for (const char *p = buf; p != last && *p != 'e'; ++p)
+        digits += *p >= '0' && *p <= '9';
+    const int maxPrec = std::numeric_limits<double>::max_digits10;
+    for (int prec = std::max(15, digits);; ++prec) {
+        last = std::to_chars(buf, end, v, std::chars_format::general, prec)
+                   .ptr;
+        if (prec >= maxPrec || !zeroMantissa(v))
+            break;
+        double back = 0.0;
+        std::from_chars(buf, last, back);
+        if (back == v)
+            break;
+    }
+    out.append(buf, last);
+}
+
+void
+appendDigits17(std::string &out, double v)
+{
+    char buf[64];
+    if (!std::isfinite(v)) {
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        out += buf;
+        return;
+    }
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                  std::chars_format::general, 17)
+                        .ptr);
+}
+
+void
+appendNumber(std::string &out, std::uint64_t v)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 std::string
 number(double v)
 {
-    // Shortest representation that round-trips: most doubles that
-    // occur in practice (2.3, 0.25, ...) are exact at 15 or 16
-    // significant digits; only print all max_digits10 == 17 when the
-    // shorter forms lose bits. This keeps benchmark and result JSON
-    // human-readable (2.3, not 2.2999999999999998) without ever
-    // changing the parsed value.
-    char buf[64];
-    for (int prec = 15; prec <= std::numeric_limits<double>::max_digits10;
-         ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+    std::string out;
+    appendNumber(out, v);
+    return out;
 }
 
 std::string
 number(std::uint64_t v)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    return buf;
+    std::string out;
+    appendNumber(out, v);
+    return out;
 }
 
 const Value &

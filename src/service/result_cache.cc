@@ -2,10 +2,13 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -33,12 +36,6 @@ hexHashName(std::uint64_t hash)
     return std::string(buf) + ".json";
 }
 
-std::string
-hashName(const ExperimentJob &job)
-{
-    return hexHashName(contentHash(job));
-}
-
 /** True for "<hex>.json" entry files; temporaries ("*.tmp.*") and
  *  the lockfile never match. */
 bool
@@ -54,6 +51,48 @@ bool
 isTmpName(const std::string &name)
 {
     return name.find(".tmp.") != std::string::npos;
+}
+
+/** Owns an open file descriptor. */
+class Fd
+{
+  public:
+    explicit Fd(int fd) : fd_(fd) {}
+    ~Fd()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    Fd(const Fd &) = delete;
+    Fd &operator=(const Fd &) = delete;
+
+    int get() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+/** Reads the rest of @p fd into @p out; false on a read error. */
+bool
+readAll(int fd, std::size_t sizeHint, std::string &out)
+{
+    out.resize(sizeHint + 1);
+    std::size_t used = 0;
+    for (;;) {
+        if (used == out.size())
+            out.resize(out.size() * 2);
+        const ssize_t n = ::read(fd, out.data() + used, out.size() - used);
+        if (n == 0)
+            break;
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        used += static_cast<std::size_t>(n);
+    }
+    out.resize(used);
+    return true;
 }
 
 /** RAII advisory lock: flock(LOCK_EX | LOCK_NB) on @p path. The
@@ -94,30 +133,145 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
         invalid(dir_, "cannot create cache directory");
 }
 
+ResultCache::FileIdentity
+ResultCache::FileIdentity::of(const struct stat &st)
+{
+    return {st.st_dev, st.st_ino, st.st_size, st.st_mtim, st.st_ctim};
+}
+
+bool
+ResultCache::FileIdentity::operator==(const FileIdentity &o) const
+{
+    return dev == o.dev && ino == o.ino && size == o.size &&
+           mtime.tv_sec == o.mtime.tv_sec &&
+           mtime.tv_nsec == o.mtime.tv_nsec &&
+           ctime.tv_sec == o.ctime.tv_sec &&
+           ctime.tv_nsec == o.ctime.tv_nsec;
+}
+
+std::string
+ResultCache::entryPathOfHash(std::uint64_t hash) const
+{
+    return (fs::path(dir_) / hexHashName(hash)).string();
+}
+
 std::string
 ResultCache::entryPath(const ExperimentJob &job) const
 {
-    return (fs::path(dir_) / hashName(job)).string();
+    return entryPathOfHash(contentHash(job));
+}
+
+std::size_t
+ResultCache::warmEntries() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return warm_.size();
+}
+
+void
+ResultCache::remember(WarmEntry entry)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto found = warmIndex_.find(entry.key);
+    if (found != warmIndex_.end()) {
+        // Keep the stored key: the index views its characters.
+        WarmEntry &held = *found->second;
+        held.hash = entry.hash;
+        held.record = std::move(entry.record);
+        held.file = entry.file;
+        warm_.splice(warm_.begin(), warm_, found->second);
+        return;
+    }
+    if (warm_.size() >= warmCapacity) {
+        warmIndex_.erase(warm_.back().key);
+        warm_.pop_back();
+    }
+    warm_.push_front(std::move(entry));
+    warmIndex_.emplace(warm_.front().key, warm_.begin());
 }
 
 std::optional<RunRecord>
 ResultCache::lookup(const ExperimentJob &job)
 {
-    const std::string path = entryPath(job);
-    std::ifstream is(path);
-    if (!is) {
+    std::string key = canonicalJobKey(job);
+
+    // Warm tier, first pass: a known key also knows its file name, so
+    // a warm hit never hashes the key.
+    std::optional<FileIdentity> expected;
+    std::uint64_t hash = 0;
+    {
         std::lock_guard<std::mutex> lock(mutex_);
+        if (const auto found = warmIndex_.find(key);
+            found != warmIndex_.end()) {
+            expected = found->second->file;
+            hash = found->second->hash;
+        }
+    }
+    if (!expected)
+        hash = contentHashOfKey(key);
+
+    // A miss also drops the tier's copy: its file is gone or bad.
+    const auto miss = [&](bool rejected) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (const auto found = warmIndex_.find(key);
+            found != warmIndex_.end()) {
+            const auto entry = found->second;
+            warmIndex_.erase(found);
+            warm_.erase(entry);
+        }
+        stats_.rejected += rejected ? 1 : 0;
         ++stats_.misses;
         return std::nullopt;
+    };
+    const Fd fd(::open(entryPathOfHash(hash).c_str(), O_RDONLY | O_CLOEXEC));
+    struct stat st;
+    if (fd.get() < 0 || ::fstat(fd.get(), &st) != 0)
+        return miss(false);
+    const FileIdentity seen = FileIdentity::of(st);
+
+    // Touch the entry so prune()'s mtime order is LRU, not FIFO, and
+    // return what the file looks like now. Best effort: the touch
+    // fails quietly on a read-only store. Through the descriptor, so
+    // a concurrent rename over the path cannot redirect it.
+    const auto touch = [&]() {
+        timespec times[2] = {{0, UTIME_OMIT}, {}};
+        ::clock_gettime(CLOCK_REALTIME, &times[1]);
+        (void)::futimens(fd.get(), times);
+        if (::fstat(fd.get(), &st) != 0)
+            return FileIdentity{};
+        return FileIdentity::of(st);
+    };
+
+    // Second pass: serve from memory when the file is the one whose
+    // bytes were checked, unchanged since.
+    std::optional<RunRecord> rec;
+    if (expected && *expected == seen) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto found = warmIndex_.find(key);
+        if (found != warmIndex_.end() && found->second->file == seen) {
+            rec = found->second->record;
+            warm_.splice(warm_.begin(), warm_, found->second);
+        }
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
+    if (rec) {
+        const FileIdentity now = touch();
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto found = warmIndex_.find(key);
+        if (found != warmIndex_.end() && found->second->file == seen)
+            found->second->file = now;
+        ++stats_.hits;
+        ++stats_.warmHits;
+        return rec;
+    }
 
     // Tolerant read: anything unusable — a torn write from a crashed
     // process, a corrupted byte, a stale schema, a hash collision —
     // is a miss; the job re-simulates and the store overwrites it.
     try {
-        const json::Value doc = json::parse(buf.str());
+        std::string text;
+        if (!readAll(fd.get(), static_cast<std::size_t>(st.st_size), text))
+            throw FatalError("unreadable cache entry");
+        const json::Value doc = json::parse(text);
         if (!doc.has("schema") ||
             doc.at("schema").asString() != cacheSchema) {
             throw FatalError("wrong cache entry schema");
@@ -126,26 +280,16 @@ ResultCache::lookup(const ExperimentJob &job)
             doc.at("plan").asString() != planSchemaVersion) {
             throw FatalError("stale plan schema");
         }
-        if (!doc.has("key") ||
-            doc.at("key").asString() != canonicalJobKey(job)) {
+        if (!doc.has("key") || doc.at("key").asString() != key)
             throw FatalError("canonical key mismatch");
-        }
-        RunRecord rec = result_io::recordFromValue(doc.at("record"));
-        // Touch the entry so prune()'s mtime order is LRU, not FIFO.
-        // Best effort: a concurrent prune may have unlinked the file.
-        std::error_code touch_ec;
-        fs::last_write_time(path,
-                            std::filesystem::file_time_type::clock::now(),
-                            touch_ec);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.hits;
-        return rec;
+        rec = result_io::recordFromValue(doc.at("record"));
     } catch (const std::exception &) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.rejected;
-        ++stats_.misses;
-        return std::nullopt;
+        return miss(true);
     }
+    remember({std::move(key), hash, *rec, touch()});
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.hits;
+    return rec;
 }
 
 void
@@ -154,13 +298,14 @@ ResultCache::store(const ExperimentJob &job, const RunRecord &record)
     if (record.result.status != RunStatus::Ok)
         return;
 
+    const std::string key = canonicalJobKey(job);
     json::Builder doc('{');
     doc.field("schema", json::escape(cacheSchema))
         .field("plan", json::escape(planSchemaVersion))
-        .field("key", json::escape(canonicalJobKey(job)))
+        .field("key", json::escape(key))
         .field("record", result_io::recordToJson(record));
 
-    const std::string path = entryPath(job);
+    const std::string path = entryPathOfHash(contentHashOfKey(key));
     const std::string tmp =
         path + ".tmp." +
         std::to_string(static_cast<unsigned long long>(::getpid())) +

@@ -36,16 +36,34 @@
  * can momentarily push the store back over budget, which the next
  * prune corrects. The store stays an idempotent flat CAS — every
  * pruned entry regenerates by re-simulation; see docs/SERVICE.md.
+ *
+ * Warm tier: an entry that passed every check above on a disk read is
+ * kept decoded in memory, indexed by its canonical key, with the
+ * identity of the file it was read from (device, inode, size, mtime,
+ * ctime). A later lookup of the same key serves it from memory only
+ * when an fstat() of the freshly opened entry file still shows that
+ * identity; it touches the file as a disk hit would and records the
+ * new identity. A missing file is a miss; any other difference (a
+ * rename over the entry, a truncation, an in-place write, another
+ * process's touch) falls back to the disk read, which re-validates
+ * everything. store() never fills the tier: only bytes read back and
+ * checked do. The tier holds a fixed number of entries and drops the
+ * least recently served.
  */
 
 #ifndef SAC_SERVICE_RESULT_CACHE_HH
 #define SAC_SERVICE_RESULT_CACHE_HH
 
+#include <sys/stat.h>
+
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "sim/engine.hh"
 #include "sim/plan.hh"
@@ -65,6 +83,9 @@ class ResultCache : public JobCache
         /** Entries present but unusable (torn, corrupt, wrong
          *  schema, key mismatch); each also counts as a miss. */
         std::uint64_t rejected = 0;
+        /** Hits served from the in-memory warm tier (a subset of
+         *  hits). */
+        std::uint64_t warmHits = 0;
     };
 
     /** Size bound for prune(); zero fields are unbounded. */
@@ -101,6 +122,9 @@ class ResultCache : public JobCache
          *  wrong schema, or filename != hash(stored key). */
         std::uint64_t rejected = 0;
     };
+
+    /** Entries the in-memory warm tier holds at most. */
+    static constexpr std::size_t warmCapacity = 1024;
 
     /**
      * Opens (and creates, including parents) the cache directory.
@@ -159,12 +183,48 @@ class ResultCache : public JobCache
     /** The prune lockfile path (exposed for tests and tooling). */
     std::string pruneLockPath() const;
 
+    /** Entries the warm tier holds now (never above its capacity). */
+    std::size_t warmEntries() const;
+
   private:
+    /** What an entry file looked like when its bytes were checked. */
+    struct FileIdentity
+    {
+        dev_t dev = 0;
+        ino_t ino = 0;
+        off_t size = 0;
+        timespec mtime{};
+        timespec ctime{};
+
+        static FileIdentity of(const struct stat &st);
+        bool operator==(const FileIdentity &o) const;
+    };
+
+    /** One validated entry, decoded. */
+    struct WarmEntry
+    {
+        std::string key;
+        /** contentHashOfKey(key): names the entry file. */
+        std::uint64_t hash;
+        RunRecord record;
+        FileIdentity file;
+    };
+
+    std::string entryPathOfHash(std::uint64_t hash) const;
+    /** Records (or refreshes) a validated entry, most recent first. */
+    void remember(WarmEntry entry);
+
     std::string dir_;
     mutable std::mutex mutex_;
     Stats stats_;
     Budget budget_;
     std::atomic<std::uint64_t> tmpSerial_{0};
+
+    /** Most recently served first; guarded by mutex_. */
+    std::list<WarmEntry> warm_;
+    /** By canonical key, viewing each entry's own key string. */
+    std::unordered_map<std::string_view, std::list<WarmEntry>::iterator>
+        warmIndex_;
 };
 
 } // namespace sac::service

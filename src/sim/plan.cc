@@ -1,7 +1,10 @@
 #include "sim/plan.hh"
 
-#include <cstdio>
+#include <charconv>
+#include <string_view>
 #include <utility>
+
+#include "common/json.hh"
 
 namespace sac {
 
@@ -34,38 +37,57 @@ namespace {
 /**
  * Canonical-key serializer: "name=value;" pairs in a frozen order.
  * Doubles print as %.17g so the text round-trips to the exact bits —
- * equal keys mean bit-equal inputs, not merely close ones.
+ * equal keys mean bit-equal inputs, not merely close ones. Every
+ * field appends straight into one buffer, its name after @c prefix
+ * (e.g. "scenario.stream0.phase1.").
  */
 class KeyWriter
 {
   public:
-    void field(const char *name, const std::string &v)
+    KeyWriter() { out_.reserve(2048); }
+
+    void field(const char *name, std::string_view v)
     {
-        out_ += name;
-        out_ += '=';
+        head(name);
         out_ += v;
         out_ += ';';
     }
-    void field(const char *name, const char *v) { field(name, std::string(v)); }
     void field(const char *name, std::uint64_t v)
     {
-        field(name, std::to_string(v));
+        head(name);
+        json::appendNumber(out_, v);
+        out_ += ';';
     }
-    void field(const char *name, int v) { field(name, std::to_string(v)); }
     void field(const char *name, unsigned v)
     {
-        field(name, std::to_string(v));
+        field(name, static_cast<std::uint64_t>(v));
+    }
+    void field(const char *name, int v)
+    {
+        head(name);
+        char buf[16];
+        out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        out_ += ';';
     }
     void field(const char *name, double v)
     {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        field(name, std::string(buf));
+        head(name);
+        json::appendDigits17(out_, v);
+        out_ += ';';
     }
 
-    const std::string &str() const { return out_; }
+    std::string prefix;
+
+    std::string take() { return std::move(out_); }
 
   private:
+    void head(const char *name)
+    {
+        out_ += prefix;
+        out_ += name;
+        out_ += '=';
+    }
+
     std::string out_;
 };
 
@@ -115,37 +137,41 @@ writeConfig(KeyWriter &w, const GpuConfig &cfg)
     // job seed, which the key already carries.
 }
 
+/** Writes @p p's fields, each name under the writer's current
+ *  prefix; leaves the prefix as it found it. */
 void
-writeProfile(KeyWriter &w, const WorkloadProfile &p,
-             const std::string &prefix = "")
+writeProfile(KeyWriter &w, const WorkloadProfile &p)
 {
-    const auto name = [&prefix](const char *f) { return prefix + f; };
-    w.field(name("name").c_str(), p.name);
-    w.field(name("smSidePreferred").c_str(), p.smSidePreferred ? 1 : 0);
-    w.field(name("ctas").c_str(), p.ctas);
-    w.field(name("footprintMB").c_str(), p.footprintMB);
-    w.field(name("trueSharedMB").c_str(), p.trueSharedMB);
-    w.field(name("falseSharedMB").c_str(), p.falseSharedMB);
-    w.field(name("numKernels").c_str(), p.numKernels);
-    w.field(name("numPhases").c_str(),
-            static_cast<std::uint64_t>(p.phases.size()));
+    w.field("name", p.name);
+    w.field("smSidePreferred", p.smSidePreferred ? 1 : 0);
+    w.field("ctas", p.ctas);
+    w.field("footprintMB", p.footprintMB);
+    w.field("trueSharedMB", p.trueSharedMB);
+    w.field("falseSharedMB", p.falseSharedMB);
+    w.field("numKernels", p.numKernels);
+    w.field("numPhases", static_cast<std::uint64_t>(p.phases.size()));
+    const std::size_t outer = w.prefix.size();
     for (std::size_t i = 0; i < p.phases.size(); ++i) {
         const KernelPhase &ph = p.phases[i];
-        const std::string pre = prefix + "phase" + std::to_string(i) + ".";
-        w.field((pre + "trueFrac").c_str(), ph.trueFrac);
-        w.field((pre + "falseFrac").c_str(), ph.falseFrac);
-        w.field((pre + "writeFrac").c_str(), ph.writeFrac);
-        w.field((pre + "trueHotFrac").c_str(), ph.trueHotFrac);
-        w.field((pre + "trueHotMB").c_str(), ph.trueHotMB);
-        w.field((pre + "falseHotFrac").c_str(), ph.falseHotFrac);
-        w.field((pre + "falseHotMB").c_str(), ph.falseHotMB);
-        w.field((pre + "privHotFrac").c_str(), ph.privHotFrac);
-        w.field((pre + "privHotMB").c_str(), ph.privHotMB);
-        w.field((pre + "rereadFrac").c_str(), ph.rereadFrac);
-        w.field((pre + "computeGap").c_str(), ph.computeGap);
-        w.field((pre + "accessesPerWarp").c_str(), ph.accessesPerWarp);
-        w.field((pre + "trueRegionFrac").c_str(), ph.trueRegionFrac);
+        w.prefix.resize(outer);
+        w.prefix += "phase";
+        w.prefix += std::to_string(i);
+        w.prefix += '.';
+        w.field("trueFrac", ph.trueFrac);
+        w.field("falseFrac", ph.falseFrac);
+        w.field("writeFrac", ph.writeFrac);
+        w.field("trueHotFrac", ph.trueHotFrac);
+        w.field("trueHotMB", ph.trueHotMB);
+        w.field("falseHotFrac", ph.falseHotFrac);
+        w.field("falseHotMB", ph.falseHotMB);
+        w.field("privHotFrac", ph.privHotFrac);
+        w.field("privHotMB", ph.privHotMB);
+        w.field("rereadFrac", ph.rereadFrac);
+        w.field("computeGap", ph.computeGap);
+        w.field("accessesPerWarp", ph.accessesPerWarp);
+        w.field("trueRegionFrac", ph.trueRegionFrac);
     }
+    w.prefix.resize(outer);
 }
 
 constexpr std::uint64_t fnvOffset = 14695981039346656037ull;
@@ -180,16 +206,15 @@ canonicalJobKey(const ExperimentJob &job)
                 static_cast<std::uint64_t>(job.scenario.streams.size()));
         for (std::size_t i = 0; i < job.scenario.streams.size(); ++i) {
             const StreamSpec &s = job.scenario.streams[i];
-            const std::string pre =
-                "scenario.stream" + std::to_string(i) + ".";
-            w.field((pre + "launchCycle").c_str(),
+            w.prefix = "scenario.stream" + std::to_string(i) + ".";
+            w.field("launchCycle",
                     static_cast<std::uint64_t>(s.launchCycle));
-            w.field((pre + "clusterShare").c_str(), s.clusterShare);
-            w.field((pre + "numKernels").c_str(), s.numKernels);
-            writeProfile(w, s.profile, pre);
+            w.field("clusterShare", s.clusterShare);
+            w.field("numKernels", s.numKernels);
+            writeProfile(w, s.profile);
         }
     }
-    return w.str();
+    return w.take();
 }
 
 std::uint64_t

@@ -85,6 +85,11 @@ TraceFileSource::TraceFileSource(std::istream &is, std::string name)
                     type, "'");
         if (gap > std::numeric_limits<std::uint16_t>::max())
             invalid(at(line_no), "gap ", gap, " out of range");
+        if (sector >= sectorLine_.size())
+            invalid(at(line_no), "sector ", sector,
+                    " out of range (at most 255)");
+        if (sectorLine_[sector] == 0)
+            sectorLine_[sector] = line_no;
         MemAccess acc;
         acc.lineAddr = addr;
         acc.sector = static_cast<std::uint8_t>(sector);
@@ -95,6 +100,24 @@ TraceFileSource::TraceFileSource(std::istream &is, std::string name)
     }
     if (total == 0)
         invalid(name_, "trace file contains no accesses");
+}
+
+void
+TraceFileSource::checkSectors(unsigned sectorsPerLine) const
+{
+    std::size_t first = 0;
+    unsigned bad = 0;
+    for (unsigned s = sectorsPerLine; s < sectorLine_.size(); ++s) {
+        if (sectorLine_[s] != 0 && (first == 0 || sectorLine_[s] < first)) {
+            first = sectorLine_[s];
+            bad = s;
+        }
+    }
+    if (first != 0) {
+        invalid(name_ + ":" + std::to_string(first), "sector ", bad,
+                " does not fit a line of ", sectorsPerLine,
+                " sector(s)");
+    }
 }
 
 TraceFileSource

@@ -23,6 +23,7 @@
 #ifndef SAC_WORKLOAD_TRACE_FILE_HH
 #define SAC_WORKLOAD_TRACE_FILE_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -79,6 +80,13 @@ class TraceFileSource : public TraceSource
     /** Distinct (chip, cluster, warp) streams in the file. */
     std::size_t streams() const { return perStream.size(); }
 
+    /**
+     * Throws ValidationError ("<name>:<line>") for the first access
+     * whose sector does not fit a line of @p sectorsPerLine sectors.
+     * Call before a run: the caches assert on such a sector.
+     */
+    void checkSectors(unsigned sectorsPerLine) const;
+
   private:
     struct Stream
     {
@@ -96,6 +104,8 @@ class TraceFileSource : public TraceSource
     std::string name_;
     std::unordered_map<std::uint64_t, Stream> perStream;
     std::uint64_t total = 0;
+    /** Per sector value, the first line using it (0: none does). */
+    std::array<std::size_t, 256> sectorLine_{};
 };
 
 } // namespace sac

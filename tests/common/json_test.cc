@@ -3,10 +3,19 @@
  * Hardening tests for the JSON parser: malformed input must throw a
  * located ValidationError — never crash, hang, or invoke UB. The
  * ASan/UBSan CI job runs this same corpus with sanitizers enabled.
+ * The formatting tests hold the printf-based writers the to_chars
+ * ones replaced, as oracles, and compare the two byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -153,6 +162,152 @@ TEST_F(JsonHardening, GoodDocumentsStillParse)
     EXPECT_TRUE(v.at("b").boolean);
     EXPECT_EQ(v.at("arr").array.size(), 3u);
     EXPECT_EQ(v.at("o").at("k").asString(), "v");
+}
+
+// --- number formatting against the printf oracles ---------------------
+
+/** json::number as it was written with printf: the first precision in
+ *  15..17 whose "%.*g" text strtod reads back to the same double. */
+std::string
+oracleNumber(double v)
+{
+    char buf[64];
+    for (int prec = 15; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+/** The canonical key's double format as it was written: "%.17g". */
+std::string
+oracleDigits17(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+std::string
+digits17(double v)
+{
+    std::string out;
+    json::appendDigits17(out, v);
+    return out;
+}
+
+/** Counts (and reports the first few) doubles where either writer
+ *  differs from its oracle. */
+class FormatCheck
+{
+  public:
+    void operator()(double v)
+    {
+        ++checked;
+        const std::string got = json::number(v);
+        const std::string want = oracleNumber(v);
+        const std::string got17 = digits17(v);
+        const std::string want17 = oracleDigits17(v);
+        if (got == want && got17 == want17)
+            return;
+        if (++mismatches <= 5) {
+            ADD_FAILURE() << std::hexfloat << v << ": number '" << got
+                          << "' vs '" << want << "', digits17 '" << got17
+                          << "' vs '" << want17 << "'";
+        }
+    }
+
+    std::uint64_t checked = 0;
+    std::uint64_t mismatches = 0;
+};
+
+double
+fromBits(std::uint64_t bits)
+{
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+TEST(JsonFormatting, RandomBitPatternsMatchThePrintfOracles)
+{
+    // Uniform bit patterns cover every exponent, subnormals, NaN
+    // payloads and infinities in proportion to their encodings.
+    FormatCheck check;
+    std::mt19937_64 rng(20230617);
+    for (int i = 0; i < 1000000; ++i)
+        check(fromBits(rng()));
+    EXPECT_EQ(check.mismatches, 0u) << "of " << check.checked;
+}
+
+TEST(JsonFormatting, EdgeAndDecimalValuesMatchThePrintfOracles)
+{
+    FormatCheck check;
+    const double edges[] = {
+        0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+        std::numeric_limits<double>::denorm_min(),
+        std::nextafter(DBL_MIN, 0.0), std::nextafter(1.0, 2.0),
+        std::nextafter(1.0, 0.0), 5.0000000000000009, 0.30000000000000004,
+        1e23, 9007199254740993.0, 1e-300, 1e300,
+    };
+    for (const double v : edges)
+        check(v);
+    // Every power of two, and its neighbours: the one place the
+    // round-trip interval is lopsided.
+    for (int e = -1074; e <= 1023; ++e) {
+        const double p = std::ldexp(1.0, e);
+        for (const double v : {p, std::nextafter(p, 0.0),
+                               std::nextafter(p, HUGE_VAL)}) {
+            check(v);
+            check(-v);
+        }
+    }
+    // Decimal-looking values, the ones configs and results carry.
+    for (int k = -200000; k <= 200000; ++k) {
+        check(k / 1000.0);
+        check(k / 3.0);
+        check(k * 0.01);
+    }
+    // Random doubles in the ranges results use (rates, bandwidths).
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 200000; ++i) {
+        const double u = unit(rng);
+        check(u);
+        check(u * 1e6);
+    }
+    EXPECT_EQ(check.mismatches, 0u) << "of " << check.checked;
+    EXPECT_GE(check.checked, 1000000u);
+}
+
+TEST(JsonFormatting, NonFiniteValuesKeepTheirPrintfSpelling)
+{
+    // JSON has no spelling for these; the writers keep printf's, as
+    // they always have, and the readers reject them.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(json::number(inf), "inf");
+    EXPECT_EQ(json::number(-inf), "-inf");
+    EXPECT_EQ(json::number(nan), "nan");
+    EXPECT_EQ(json::number(-nan), "-nan");
+    EXPECT_EQ(digits17(inf), "inf");
+    EXPECT_EQ(digits17(-inf), "-inf");
+    EXPECT_EQ(digits17(nan), "nan");
+    EXPECT_EQ(digits17(-nan), "-nan");
+}
+
+TEST(JsonFormatting, EscapeAndBuilderKeepTheirBytes)
+{
+    EXPECT_EQ(json::escape("a\"b\\c\n\t\r\x01\x1f~\xc3\xa9"),
+              "\"a\\\"b\\\\c\\n\\t\\r\\u0001\\u001f~\xc3\xa9\"");
+    EXPECT_EQ(json::escape(""), "\"\"");
+    EXPECT_EQ(json::escape("plain"), "\"plain\"");
+    json::Builder b('{');
+    b.field("k", json::number(std::uint64_t{18446744073709551615ull}))
+        .field("a long key name", json::escape("v"));
+    EXPECT_EQ(b.close('}'),
+              "{\"k\":18446744073709551615,\"a long key name\":\"v\"}");
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Tests for the persistent content-addressed result cache: hit
  * byte-identity across every organization and both sharing shapes,
  * precise invalidation on content changes, tolerance of torn and
- * corrupted entries, atomicity under concurrent writers, and the
- * eligibility rules.
+ * corrupted entries, atomicity under concurrent writers, the
+ * eligibility rules, and the in-memory warm tier's validation against
+ * the entry file.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -559,6 +561,208 @@ TEST(ResultCachePrune, ToleratesConcurrentStoresWithoutTornSurvivors)
     EXPECT_TRUE(cache.prune(budget).ran);
     EXPECT_LE(cache.verify().entries, 4u);
     EXPECT_EQ(cache.verify().rejected, 0u);
+}
+
+// --- the in-memory warm tier ----------------------------------------------
+
+/** Three GEMM jobs, simulated once through @p cache, then served twice
+ *  more so every entry is in the warm tier. */
+ExperimentPlan
+warmPlan(ResultCache &cache, std::string *reference)
+{
+    ExperimentPlan plan;
+    plan.addOrgSweep(tinyProfile("GEMM"), tinyConfig(),
+                     {OrgKind::MemorySide, OrgKind::SmSide, OrgKind::Sac});
+    *reference = docOf(runWithCache(plan, cache));
+    EXPECT_EQ(cache.warmEntries(), 0u); // store() never fills the tier
+    EXPECT_EQ(docOf(runWithCache(plan, cache)), *reference);
+    EXPECT_EQ(cache.stats().warmHits, 0u); // read from disk, checked
+    EXPECT_EQ(docOf(runWithCache(plan, cache)), *reference);
+    EXPECT_EQ(cache.stats().warmHits, plan.size()); // served from memory
+    return plan;
+}
+
+/** Waits out the file system's timestamp granularity, so an in-place
+ *  write after it carries a new mtime. */
+void
+nextTimestampTick()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+}
+
+TEST(ResultCacheWarm, DamagedEntriesAfterAWarmHitAreRejected)
+{
+    TempDir dir("sac_cache_warm_damage");
+    ResultCache cache(dir.path);
+    std::string reference;
+    const ExperimentPlan plan = warmPlan(cache, &reference);
+
+    // The same instance, its tier holding all three: truncate one
+    // entry, flip a byte of another in place (same size, same inode).
+    nextTimestampTick();
+    fault_injection::truncateFile(cache.entryPath(plan[0]), 40);
+    fault_injection::corruptFile(
+        cache.entryPath(plan[1]),
+        std::filesystem::file_size(cache.entryPath(plan[1])) / 2);
+
+    const auto before = cache.stats();
+    const std::uint64_t runs = ExperimentEngine::simulatedSystemRuns();
+    EXPECT_EQ(docOf(runWithCache(plan, cache)), reference);
+    EXPECT_EQ(ExperimentEngine::simulatedSystemRuns(), runs + 2);
+    EXPECT_EQ(cache.stats().warmHits, before.warmHits + 1);
+    EXPECT_GE(cache.stats().rejected, before.rejected + 1);
+    EXPECT_EQ(cache.stats().stores, before.stores + 2);
+    EXPECT_EQ(cache.verify().rejected, 0u); // both re-persisted
+}
+
+TEST(ResultCacheWarm, DeletedEntryAfterAWarmHitIsAMiss)
+{
+    TempDir dir("sac_cache_warm_delete");
+    ResultCache cache(dir.path);
+    std::string reference;
+    const ExperimentPlan plan = warmPlan(cache, &reference);
+
+    std::filesystem::remove(cache.entryPath(plan[2]));
+    const auto before = cache.stats();
+    EXPECT_FALSE(cache.lookup(plan[2]).has_value());
+    EXPECT_EQ(cache.stats().misses, before.misses + 1);
+    EXPECT_EQ(cache.stats().rejected, before.rejected);
+    EXPECT_EQ(cache.warmEntries(), plan.size() - 1);
+    EXPECT_TRUE(cache.lookup(plan[0]).has_value());
+}
+
+TEST(ResultCacheWarm, EntryRenamedOverAfterAWarmHitFailsTheKeyCompare)
+{
+    TempDir dir("sac_cache_warm_rename");
+    ResultCache cache(dir.path);
+    std::string reference;
+    const ExperimentPlan plan = warmPlan(cache, &reference);
+
+    // Another job's complete, valid entry, moved into place the way a
+    // writer would: a new inode under the SAC job's name.
+    namespace fs = std::filesystem;
+    const std::string tmp = dir.path + "/other.tmp";
+    fs::copy_file(cache.entryPath(plan[0]), tmp);
+    fs::rename(tmp, cache.entryPath(plan[2]));
+
+    const auto before = cache.stats();
+    EXPECT_FALSE(cache.lookup(plan[2]).has_value());
+    EXPECT_EQ(cache.stats().rejected, before.rejected + 1);
+    const std::uint64_t runs = ExperimentEngine::simulatedSystemRuns();
+    EXPECT_EQ(docOf(runWithCache(plan, cache)), reference);
+    EXPECT_EQ(ExperimentEngine::simulatedSystemRuns(), runs + 1);
+}
+
+TEST(ResultCacheWarm, AWarmHitStillRefreshesTheEntrysAge)
+{
+    namespace fs = std::filesystem;
+    TempDir dir("sac_cache_warm_touch");
+    ResultCache cache(dir.path);
+    ExperimentPlan plan;
+    plan.addOrgSweep(tinyProfile("RN"), tinyConfig());
+    runWithCache(plan, cache);
+    stampAges(cache, plan); // job 0 is the oldest on disk
+
+    // The first hit reads the disk; then every other entry is made
+    // younger than job 0 without touching job 0's file, so only the
+    // second — warm — hit can make it the youngest again.
+    ASSERT_TRUE(cache.lookup(plan[0]).has_value());
+    const auto first = fs::last_write_time(cache.entryPath(plan[0]));
+    nextTimestampTick();
+    for (std::size_t i = 1; i < plan.size(); ++i)
+        fs::last_write_time(cache.entryPath(plan[i]),
+                            first + std::chrono::milliseconds(5));
+    nextTimestampTick();
+    ASSERT_TRUE(cache.lookup(plan[0]).has_value());
+    EXPECT_EQ(cache.stats().warmHits, 1u);
+
+    const auto report =
+        cache.prune(ResultCache::Budget{.maxEntries = 1});
+    EXPECT_TRUE(report.ran);
+    EXPECT_TRUE(fs::exists(cache.entryPath(plan[0])));
+    EXPECT_EQ(cache.verify().entries, 1u);
+}
+
+/** Stores @p n entries, one per seed 1..n of a tiny RN job; odd and
+ *  even seeds carry different (real) records, so a lookup that serves
+ *  the wrong entry shows. Returns the jobs and their records. */
+std::pair<std::vector<ExperimentJob>, std::vector<RunRecord>>
+storeManyEntries(ResultCache &cache, std::size_t n)
+{
+    ExperimentJob base{tinyProfile("RN"), tinyConfig(), OrgKind::Sac};
+    ExperimentJob other = base;
+    other.org = OrgKind::MemorySide;
+    const RunRecord records[2] = {ExperimentEngine::runJob(base),
+                                  ExperimentEngine::runJob(other)};
+    std::vector<ExperimentJob> jobs;
+    std::vector<RunRecord> stored;
+    for (std::size_t i = 0; i < n; ++i) {
+        ExperimentJob job = base;
+        job.seed = i + 1;
+        cache.store(job, records[i % 2]);
+        jobs.push_back(job);
+        stored.push_back(records[i % 2]);
+    }
+    return {jobs, stored};
+}
+
+TEST(ResultCacheWarm, TheTierHoldsAtMostItsCapacityLeastRecentFirstOut)
+{
+    constexpr std::size_t cap = ResultCache::warmCapacity;
+    TempDir dir("sac_cache_warm_cap");
+    ResultCache cache(dir.path);
+    const auto jobs = storeManyEntries(cache, cap + 1).first;
+
+    const auto warmHit = [&](std::size_t job) {
+        const std::uint64_t before = cache.stats().warmHits;
+        EXPECT_TRUE(cache.lookup(jobs[job]).has_value());
+        EXPECT_LE(cache.warmEntries(), cap);
+        return cache.stats().warmHits > before;
+    };
+    for (std::size_t i = 0; i < cap; ++i)
+        EXPECT_FALSE(warmHit(i));
+    EXPECT_EQ(cache.warmEntries(), cap);
+    EXPECT_FALSE(warmHit(cap)); // evicts job 0, the least recent
+    EXPECT_EQ(cache.warmEntries(), cap);
+    EXPECT_TRUE(warmHit(1));  // job 1 refreshed: job 2 is now oldest...
+    EXPECT_FALSE(warmHit(0)); // ...and goes for job 0
+    EXPECT_FALSE(warmHit(2));
+    EXPECT_TRUE(warmHit(1));
+    EXPECT_TRUE(warmHit(0));
+    EXPECT_EQ(cache.stats().hits, cap + 6);
+    EXPECT_EQ(cache.stats().warmHits, 3u);
+}
+
+TEST(ResultCacheWarm, ConcurrentLookupsServeIdenticalRecords)
+{
+    // More entries than the tier holds, so the readers race evictions
+    // as well as hits.
+    TempDir dir("sac_cache_warm_threads");
+    ResultCache cache(dir.path);
+    const auto [jobs, records] =
+        storeManyEntries(cache, ResultCache::warmCapacity + 76);
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < 4; ++t) {
+        readers.emplace_back([&, t] {
+            for (int pass = 0; pass < 2; ++pass) {
+                for (std::size_t n = 0; n < jobs.size(); ++n) {
+                    const std::size_t i = (n + t * 300) % jobs.size();
+                    const auto hit = cache.lookup(jobs[i]);
+                    if (!hit || result_io::toJson(hit->result) !=
+                                    result_io::toJson(records[i].result))
+                        ++wrong;
+                }
+            }
+        });
+    }
+    for (auto &r : readers)
+        r.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ(cache.stats().hits, 4u * 2u * jobs.size());
+    EXPECT_GT(cache.stats().warmHits, 0u);
+    EXPECT_LE(cache.warmEntries(), ResultCache::warmCapacity);
 }
 
 } // namespace

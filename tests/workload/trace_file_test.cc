@@ -168,5 +168,46 @@ TEST(TraceFile, RejectionsAreRecoverableAndLocated)
     }
 }
 
+TEST(TraceFile, SectorsAboveAByteAreRejectedAtParse)
+{
+    // 257 used to wrap to sector 1 and replay silently.
+    for (const char *line : {"0 0 0 1000 256 R 1", "0 0 0 1000 257 R 1",
+                             "0 0 0 1000 -1 R 1"}) {
+        try {
+            std::istringstream is(std::string("#sactrace v1\n") + line);
+            TraceFileSource src(is, "wide.trace");
+            FAIL() << "expected ValidationError for '" << line << "'";
+        } catch (const ValidationError &e) {
+            EXPECT_EQ(e.context(), "wide.trace:2") << line;
+        }
+    }
+    std::istringstream is("#sactrace v1\n0 0 0 1000 255 R 1\n");
+    EXPECT_EQ(TraceFileSource(is).size(), 1u);
+}
+
+TEST(TraceFile, SectorsBeyondTheLineAreRejectedBeforeTheRun)
+{
+    std::istringstream is("#sactrace v1\n"
+                          "0 0 0 1000 0 R 1\n"
+                          "0 0 1 1000 3 R 1\n"
+                          "0 0 0 2000 5 R 1\n");
+    const TraceFileSource src(is, "sectored.trace");
+    EXPECT_NO_THROW(src.checkSectors(8));
+    try {
+        src.checkSectors(1); // sector 3 on line 3 is the first misfit
+        FAIL() << "expected ValidationError";
+    } catch (const ValidationError &e) {
+        EXPECT_EQ(e.context(), "sectored.trace:3");
+        EXPECT_NE(std::string(e.what()).find("sector 3"),
+                  std::string::npos);
+    }
+    try {
+        src.checkSectors(4);
+        FAIL() << "expected ValidationError";
+    } catch (const ValidationError &e) {
+        EXPECT_EQ(e.context(), "sectored.trace:4");
+    }
+}
+
 } // namespace
 } // namespace sac

@@ -278,8 +278,10 @@ runOne(const Options &o, const GpuConfig &cfg,
     std::unique_ptr<SharingTraceGen> gen;
 
     if (!o.tracePath.empty()) {
-        source = std::make_unique<TraceFileSource>(
+        auto file = std::make_unique<TraceFileSource>(
             TraceFileSource::fromFile(o.tracePath));
+        file->checkSectors(cfg.sectorsPerLine);
+        source = std::move(file);
     } else {
         gen = std::make_unique<SharingTraceGen>(
             profile.scaledData(dataScale(cfg)), cfg, o.seed);
@@ -503,6 +505,9 @@ run(const Options &o)
         std::cout << "scenario " << scenario->name() << " ("
                   << scenario->streams.size() << " stream(s)) on "
                   << cfg.summary() << "\n\n";
+    } else if (!o.tracePath.empty()) {
+        std::cout << "trace " << o.tracePath << " on " << cfg.summary()
+                  << "\n\n";
     } else {
         std::cout << "workload " << profile.name << " (x" << o.inputScale
                   << ") on " << cfg.summary() << "\n\n";
