@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -60,16 +61,17 @@ GpuConfig::validate() const
         invalid("GpuConfig.l1BytesPerCluster",
                 "must divide into ", l1Ways, " ways of ", lineBytes,
                 "-byte lines");
-    if (xbarPortBw <= 0)
-        invalid("GpuConfig.xbarPortBw", "must be positive, got ", xbarPortBw);
-    if (sliceBw <= 0)
-        invalid("GpuConfig.sliceBw", "must be positive, got ", sliceBw);
-    if (dramChannelBw <= 0)
-        invalid("GpuConfig.dramChannelBw", "must be positive, got ",
-                dramChannelBw);
-    if (interChipBw <= 0)
-        invalid("GpuConfig.interChipBw", "must be positive, got ",
-                interChipBw);
+    // Bandwidth credit is counted in micro-bytes (noc/queue.hh), so
+    // a rate must be finite and within [1e-6, 1e9] B/cycle.
+    const auto check_bw = [](const char *field, double bw) {
+        if (!std::isfinite(bw) || bw < 1e-6 || bw > 1e9)
+            invalid(field, "must be a finite bandwidth in [1e-6, 1e9] "
+                    "B/cycle, got ", bw);
+    };
+    check_bw("GpuConfig.xbarPortBw", xbarPortBw);
+    check_bw("GpuConfig.sliceBw", sliceBw);
+    check_bw("GpuConfig.dramChannelBw", dramChannelBw);
+    check_bw("GpuConfig.interChipBw", interChipBw);
     if (warpsPerCluster < 1 || warpsPerCluster > max_index)
         invalid("GpuConfig.warpsPerCluster", "must be in [1, ", max_index,
                 "], got ", warpsPerCluster);

@@ -190,9 +190,8 @@ void
 SmCluster::tick(Cycle now)
 {
     SAC_ASSERT(env_ && respPort_, "unbound cluster component ticked");
-    // Reference phase order inside Chip::tickClusters: refill and
-    // drain this cluster's response port, then issue.
-    respPort_->beginCycle();
+    // Reference phase order inside Chip::tickClusters: drain this
+    // cluster's response port, then issue.
     Packet resp;
     while (respPort_->tryPop(resp, now))
         deliver(resp, now);
@@ -206,15 +205,6 @@ SmCluster::nextEventCycle(Cycle now) const
     if (!respPort_)
         return issue;
     return std::min(issue, respPort_->nextEventCycle(now));
-}
-
-void
-SmCluster::skipIdleCycles(Cycle cycles)
-{
-    // The warp scheduler is timestamp-based; only the response port
-    // accumulates per-cycle bandwidth credit.
-    if (respPort_)
-        respPort_->skipIdleCycles(cycles);
 }
 
 void

@@ -74,14 +74,12 @@ class SmCluster : public sim::Component
     // --- sim::Component ---------------------------------------------------
     const char *name() const override { return name_.c_str(); }
     /**
-     * One reference cluster phase: refill and drain the bound
-     * response port into deliver(), then issue via tick(now, env).
+     * One reference cluster phase: drain the bound response port
+     * into deliver(), then issue via tick(now, env).
      */
     void tick(Cycle now) override;
     /** min(response-port event, issue event) for the bound unit. */
     Cycle nextEventCycle(Cycle now) const override;
-    /** Replays idle refills of the bound response port. */
-    void skipIdleCycles(Cycle cycles) override;
 
     /** Starts a kernel: every warp gets @p accesses_per_warp to issue. */
     void beginKernel(std::uint64_t accesses_per_warp, Cycle now);

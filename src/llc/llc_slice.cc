@@ -32,7 +32,7 @@ LlcSlice::LlcSlice(const GpuConfig &cfg, ChipId chip, int index)
       lineBytes(cfg.lineBytes),
       sectorBytes(cfg.lineBytes / cfg.sectorsPerLine),
       requestBytes(cfg.requestBytes),
-      arrayBw(cfg.sliceBw),
+      arrayCredit_(cfg.sliceBw),
       inQ(cfg.xbarPortBw, cfg.xbarLatency),
       vcQ(cfg.xbarPortBw, cfg.xbarLatency),
       mshrs(static_cast<std::size_t>(cfg.sliceMshrs)),
@@ -73,15 +73,11 @@ LlcSlice::nextEventCycle(Cycle now) const
 void
 LlcSlice::tick(Cycle now, SliceEnv &env)
 {
-    budget = std::min(budget + arrayBw, 2.0 * arrayBw);
-    inQ.beginCycle();
-    vcQ.beginCycle();
-
     // Retry misses that found the memory-controller queue full.
     drainMissQ(now, env);
 
     // Fills first: they free MSHRs and wake the most waiters.
-    while (budget > 0.0 && !fillQ.empty()) {
+    while (arrayCredit_.ready(now) && !fillQ.empty()) {
         Packet pkt = fillQ.front();
         fillQ.pop_front();
         processFill(pkt, now, env);
@@ -91,7 +87,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
     // incoming writebacks. These depend only on local memory below,
     // so servicing them before (and independently of) first-level
     // requests keeps the inter-chip protocol deadlock-free.
-    while (budget > 0.0) {
+    while (arrayCredit_.ready(now)) {
         const Packet *head = vcQ.peekReady(now);
         if (!head)
             break;
@@ -107,7 +103,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
             break;
         }
         Packet pkt = *head;
-        vcQ.popHead();
+        vcQ.popHead(now);
         if (pkt.bypassLlc) {
             // SAC bypass path: straight to the memory-controller queue,
             // shared with local misses (Section 3.1). No array access.
@@ -135,7 +131,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
     }
 
     // First-level requests from the crossbar port.
-    while (budget > 0.0) {
+    while (arrayCredit_.ready(now)) {
         const Packet *head = inQ.peekReady(now);
         if (!head)
             break;
@@ -150,7 +146,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
             break;
         }
         Packet pkt = *head;
-        inQ.popHead();
+        inQ.popHead(now);
         processRequest(pkt, now, env);
     }
 }
@@ -171,17 +167,6 @@ LlcSlice::nextEventCycle(Cycle now, const SliceEnv &env,
 }
 
 void
-LlcSlice::skipIdleCycles(Cycle cycles)
-{
-    inQ.skipIdleCycles(cycles);
-    vcQ.skipIdleCycles(cycles);
-    // The array budget saturates at its cap exactly like a BwQueue's.
-    const double cap = 2.0 * arrayBw;
-    for (Cycle i = 0; i < cycles && budget != cap; ++i)
-        budget = std::min(budget + arrayBw, cap);
-}
-
-void
 LlcSlice::processRequest(Packet pkt, Cycle now, SliceEnv &env)
 {
     ++stats_.requests;
@@ -199,7 +184,7 @@ LlcSlice::processRequest(Packet pkt, Cycle now, SliceEnv &env)
             ++streamHits_[static_cast<std::size_t>(pkt.stream)];
         if (pkt.remoteTo(chip_))
             ++stats_.hitsFromRemote;
-        budget -= static_cast<double>(sectorBytes);
+        arrayCredit_.spend(sectorBytes, now);
         if (apply_write)
             env.coherentWrite(pkt, chip_);
 
@@ -226,7 +211,7 @@ LlcSlice::processRequest(Packet pkt, Cycle now, SliceEnv &env)
     if (res.sectorMiss)
         ++stats_.sectorMisses;
     ++stats_.misses;
-    budget -= static_cast<double>(requestBytes);
+    arrayCredit_.spend(requestBytes, now);
 
     const auto outcome =
         pkt.atHome ? homeMshrs.allocate(pkt) : mshrs.allocate(pkt);
@@ -308,7 +293,7 @@ void
 LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
 {
     ++stats_.fills;
-    budget -= static_cast<double>(sectorBytes);
+    arrayCredit_.spend(sectorBytes, now);
 
     // A fill with atHome set and homeFilled clear is the home level of
     // a partitioned lookup; once homeFilled is set the same packet is

@@ -61,15 +61,19 @@ class SliceEnv
 /** Per-slice statistics (also the EAB profiling source). */
 struct SliceStats
 {
-    std::uint64_t requests = 0;      //!< lookups performed
+    /** Lookups performed. */
+    std::uint64_t requests = 0;
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;        //!< includes sector misses
+    /** Includes sector misses. */
+    std::uint64_t misses = 0;
     std::uint64_t sectorMisses = 0;
     std::uint64_t mshrMerges = 0;
-    std::uint64_t bypasses = 0;      //!< packets using the bypass path
+    /** Packets using the bypass path. */
+    std::uint64_t bypasses = 0;
     std::uint64_t writebacks = 0;
     std::uint64_t fills = 0;
-    std::uint64_t hitsFromRemote = 0; //!< hits for other chips' SMs
+    /** Hits for other chips' SMs. */
+    std::uint64_t hitsFromRemote = 0;
     std::uint64_t stallsMshrFull = 0;
 };
 
@@ -126,9 +130,6 @@ class LlcSlice : public sim::Component
     Cycle nextEventCycle(Cycle now, const SliceEnv &env,
                          Cycle mem_next) const;
 
-    /** Replays @p cycles idle refills (input queues + array budget). */
-    void skipIdleCycles(Cycle cycles) override;
-
     /** Tag/state array (flush and partition control live here). */
     SetAssocCache &cache() { return array; }
     const SetAssocCache &cache() const { return array; }
@@ -141,22 +142,26 @@ class LlcSlice : public sim::Component
      * streams (multi-tenant runs). Off by default — the single-stream
      * path keeps its exact counter behaviour and cost.
      */
-    void setStreamCount(int streams)
+    void
+    setStreamCount(int streams)
     {
         streamReq_.assign(static_cast<std::size_t>(streams), 0);
         streamHits_.assign(static_cast<std::size_t>(streams), 0);
     }
-    std::uint64_t streamRequests(int stream) const
+    std::uint64_t
+    streamRequests(int stream) const
     {
         return streamReq_[static_cast<std::size_t>(stream)];
     }
-    std::uint64_t streamHits(int stream) const
+    std::uint64_t
+    streamHits(int stream) const
     {
         return streamHits_[static_cast<std::size_t>(stream)];
     }
 
     /** Outstanding misses (drain check for reconfiguration). */
-    std::size_t outstanding() const
+    std::size_t
+    outstanding() const
     {
         return mshrs.inUse() + homeMshrs.inUse() + missQ.size() +
                fillQ.size() + inQ.size() + vcQ.size();
@@ -190,8 +195,8 @@ class LlcSlice : public sim::Component
     unsigned lineBytes;
     unsigned sectorBytes;
     unsigned requestBytes;
-    double arrayBw;
-    double budget = 0.0;
+    /** Tag-array bandwidth: every lookup and fill spends from it. */
+    Credit arrayCredit_;
 
     BwQueue inQ;
     BwQueue vcQ;

@@ -37,13 +37,6 @@ DramChannel::popReady(Packet &out, Cycle now)
     return true;
 }
 
-void
-DramChannel::setBandwidth(double bytes_per_cycle)
-{
-    SAC_ASSERT(bytes_per_cycle > 0.0, "DRAM bandwidth must be positive");
-    bw = bytes_per_cycle;
-}
-
 Cycle
 DramChannel::occupyBulk(std::uint64_t bytes, Cycle now)
 {

@@ -94,11 +94,4 @@ MemCtrl::inFlight() const
     return n;
 }
 
-void
-MemCtrl::setChannelBandwidth(double bytes_per_cycle)
-{
-    for (auto &ch : channels)
-        ch.setBandwidth(bytes_per_cycle);
-}
-
 } // namespace sac

@@ -7,7 +7,8 @@
 namespace sac {
 
 InterChipNet::InterChipNet(int num_chips, double egress_bw, Cycle latency)
-    : chips(num_chips), latency_(latency)
+    : chips(num_chips),
+      latency_(latency)
 {
     SAC_ASSERT(chips > 0, "need at least one chip");
     egress.reserve(static_cast<std::size_t>(chips));
@@ -26,13 +27,6 @@ InterChipNet::send(ChipId src, ChipId dst, Packet pkt, Cycle now)
     pkt.nocDst = dst;
     pkt.crossedInterChip = true;
     egress[static_cast<std::size_t>(src)].push(pkt, now);
-}
-
-void
-InterChipNet::beginCycle()
-{
-    for (auto &q : egress)
-        q.beginCycle();
 }
 
 void
@@ -77,13 +71,6 @@ InterChipNet::nextEventCycle(Cycle now) const
     return next;
 }
 
-void
-InterChipNet::skipIdleCycles(Cycle cycles)
-{
-    for (auto &q : egress)
-        q.skipIdleCycles(cycles);
-}
-
 std::size_t
 InterChipNet::inFlight() const
 {
@@ -93,13 +80,6 @@ InterChipNet::inFlight() const
     for (const auto &q : inbox)
         n += q.size();
     return n;
-}
-
-void
-InterChipNet::setEgressBandwidth(double egress_bw)
-{
-    for (auto &q : egress)
-        q.setBandwidth(egress_bw);
 }
 
 } // namespace sac

@@ -34,8 +34,11 @@ class InterChipNet
     /** Sends @p pkt from @p src to @p dst (src != dst). */
     void send(ChipId src, ChipId dst, Packet pkt, Cycle now);
 
-    /** Refills egress budgets; call once per cycle. */
-    void beginCycle();
+    /**
+     * No-op, kept for callers written against the per-cycle refill
+     * protocol: egress credit now refills lazily (see Credit).
+     */
+    void beginCycle() {}
 
     /**
      * Moves packets whose egress bandwidth and latency allow into the
@@ -54,9 +57,6 @@ class InterChipNet
      */
     Cycle nextEventCycle(Cycle now) const;
 
-    /** Replays @p cycles idle egress-budget refills. */
-    void skipIdleCycles(Cycle cycles);
-
     /** Total bytes that crossed chip boundaries. */
     std::uint64_t bytesTransferred() const { return bytes; }
 
@@ -64,15 +64,14 @@ class InterChipNet
      * Cumulative egress bytes per source chip. Telemetry derives the
      * per-epoch peak link utilization (traffic skew) from the deltas.
      */
-    const std::vector<std::uint64_t> &bytesBySource() const
+    const std::vector<std::uint64_t> &
+    bytesBySource() const
     {
         return bytesBySrc;
     }
 
     /** Packets currently in flight or queued. */
     std::size_t inFlight() const;
-
-    void setEgressBandwidth(double egress_bw);
 
   private:
     struct Arrival
@@ -83,10 +82,13 @@ class InterChipNet
 
     int chips;
     Cycle latency_;
-    std::vector<BwQueue> egress;              // per source chip
-    std::vector<Ring<Arrival>> inbox;         // per destination chip
+    /** Per source chip. */
+    std::vector<BwQueue> egress;
+    /** Per destination chip. */
+    std::vector<Ring<Arrival>> inbox;
     std::uint64_t bytes = 0;
-    std::vector<std::uint64_t> bytesBySrc;    // per source chip
+    /** Per source chip. */
+    std::vector<std::uint64_t> bytesBySrc;
 };
 
 } // namespace sac

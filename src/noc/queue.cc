@@ -1,15 +1,45 @@
 #include "noc/queue.hh"
 
-#include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/log.hh"
 
 namespace sac {
 
-BwQueue::BwQueue(double bytes_per_cycle, Cycle latency, std::size_t capacity)
-    : bw(bytes_per_cycle), latency_(latency), capacity_(capacity)
+namespace {
+
+/** @p bytes_per_cycle as a whole number of micro-bytes per cycle. */
+std::int64_t
+microBytesPerCycle(double bytes_per_cycle)
 {
-    SAC_ASSERT(bw > 0.0, "queue bandwidth must be positive");
+    SAC_ASSERT(std::isfinite(bytes_per_cycle) && bytes_per_cycle <= 1e9,
+               "bandwidth must be finite and at most 1e9 B/cycle, got ",
+               bytes_per_cycle);
+    const std::int64_t rate =
+        std::llround(bytes_per_cycle * static_cast<double>(Credit::unit));
+    SAC_ASSERT(rate >= 1, "bandwidth must be at least 1e-6 B/cycle, got ",
+               bytes_per_cycle);
+    return rate;
+}
+
+} // namespace
+
+Credit::Credit(double bytes_per_cycle)
+    : rate_(microBytesPerCycle(bytes_per_cycle)),
+      cap_(2 * rate_),
+      // Debt is bounded by a packet's size, far above -2^62, so a gap
+      // whose refill reaches 2^62 always saturates at the cap.
+      fullGap_(static_cast<Cycle>(
+          (std::numeric_limits<std::int64_t>::max() / 2) / rate_))
+{
+}
+
+BwQueue::BwQueue(double bytes_per_cycle, Cycle latency, std::size_t capacity)
+    : credit_(bytes_per_cycle),
+      latency_(latency),
+      capacity_(capacity)
+{
 }
 
 void
@@ -17,34 +47,6 @@ BwQueue::push(Packet pkt, Cycle now)
 {
     SAC_ASSERT(canPush(), "push into a full BwQueue");
     q.push_back({pkt, now + latency_});
-}
-
-void
-BwQueue::popHead()
-{
-    SAC_ASSERT(!q.empty(), "popHead on empty queue");
-    budget -= static_cast<double>(q.front().pkt.bytes);
-    drained += q.front().pkt.bytes;
-    q.pop_front();
-}
-
-void
-BwQueue::skipIdleCycles(Cycle cycles)
-{
-    // Identical to `cycles` beginCycle() calls: each step is the same
-    // add-then-clamp, and once the budget reaches the cap (the exact
-    // double 2.0 * bw) further refills are no-ops, so the loop is
-    // bounded by the debt being repaid, not by the skip length.
-    const double cap = 2.0 * bw;
-    for (Cycle i = 0; i < cycles && budget != cap; ++i)
-        budget = std::min(budget + bw, cap);
-}
-
-void
-BwQueue::setBandwidth(double bytes_per_cycle)
-{
-    SAC_ASSERT(bytes_per_cycle > 0.0, "queue bandwidth must be positive");
-    bw = bytes_per_cycle;
 }
 
 } // namespace sac

@@ -23,13 +23,6 @@ Xbar::nextEventCycle(Cycle now) const
     return next;
 }
 
-void
-Xbar::skipIdleCycles(Cycle cycles)
-{
-    for (auto &q : queues)
-        q.skipIdleCycles(cycles);
-}
-
 std::size_t
 Xbar::queued(int port) const
 {
@@ -43,13 +36,6 @@ Xbar::bytesDrained() const
     for (const auto &q : queues)
         total += q.bytesDrained();
     return total;
-}
-
-void
-Xbar::setPortBandwidth(double port_bw)
-{
-    for (auto &q : queues)
-        q.setBandwidth(port_bw);
 }
 
 } // namespace sac

@@ -56,14 +56,6 @@ class Xbar
         queues[static_cast<std::size_t>(port)].push(pkt, now);
     }
 
-    /** Refills all port budgets; call once per cycle. */
-    void
-    beginCycle()
-    {
-        for (auto &q : queues)
-            q.beginCycle();
-    }
-
     /** Drains one ready packet from @p port if possible. */
     bool
     tryPop(int port, Packet &out, Cycle now)
@@ -73,9 +65,6 @@ class Xbar
 
     /** Earliest cycle any port might drain (see BwQueue contract). */
     Cycle nextEventCycle(Cycle now) const;
-
-    /** Replays @p cycles idle refills on every port queue. */
-    void skipIdleCycles(Cycle cycles);
 
     /** Direct access to one output-port queue (per-port scheduling). */
     BwQueue &port(int port) { return queues[static_cast<std::size_t>(port)]; }
@@ -88,9 +77,6 @@ class Xbar
     int ports() const { return static_cast<int>(queues.size()); }
     std::size_t queued(int port) const;
     std::uint64_t bytesDrained() const;
-
-    /** Adjusts every port's bandwidth (sensitivity sweeps). */
-    void setPortBandwidth(double port_bw);
 
   private:
     std::vector<BwQueue> queues;

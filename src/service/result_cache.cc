@@ -25,15 +25,55 @@ namespace fs = std::filesystem;
 
 namespace {
 
-const char *const cacheSchema = "sac.cache.v1";
+const char *const cacheSchema = "sac.cache.v2";
+
+/** A 64-bit value as 16 zero-padded hex digits. */
+std::string
+hex16(std::uint64_t value)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buf;
+}
 
 std::string
 hexHashName(std::uint64_t hash)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return std::string(buf) + ".json";
+    return hex16(hash) + ".json";
+}
+
+/** The entry's last field; the checksum covers every byte before it. */
+constexpr std::string_view sumField = ",\"sum\":\"";
+
+/** Appends the checksum field to an entry body and closes it. */
+std::string
+sealEntry(std::string body)
+{
+    const std::string sum = hex16(contentHashOfKey(body));
+    body += sumField;
+    body += sum;
+    body += "\"}\n";
+    return body;
+}
+
+/** True when @p text ends in a sum field that matches its body: a
+ *  flipped byte anywhere in the entry, even one that keeps the JSON
+ *  well-formed, fails this. */
+bool
+sealIntact(std::string_view text)
+{
+    constexpr std::size_t sumDigits = 16;
+    constexpr std::string_view close = "\"}\n";
+    const std::size_t tail = sumField.size() + sumDigits + close.size();
+    if (text.size() < tail)
+        return false;
+    const std::string_view body = text.substr(0, text.size() - tail);
+    const std::string_view seal = text.substr(body.size());
+    return seal.substr(0, sumField.size()) == sumField &&
+           seal.substr(sumField.size() + sumDigits) == close &&
+           seal.substr(sumField.size(), sumDigits) ==
+               hex16(contentHashOfKey(body));
 }
 
 /** True for "<hex>.json" entry files; temporaries ("*.tmp.*") and
@@ -271,6 +311,8 @@ ResultCache::lookup(const ExperimentJob &job)
         std::string text;
         if (!readAll(fd.get(), static_cast<std::size_t>(st.st_size), text))
             throw FatalError("unreadable cache entry");
+        if (!sealIntact(text))
+            throw FatalError("cache entry checksum mismatch");
         const json::Value doc = json::parse(text);
         if (!doc.has("schema") ||
             doc.at("schema").asString() != cacheSchema) {
@@ -304,6 +346,8 @@ ResultCache::store(const ExperimentJob &job, const RunRecord &record)
         .field("plan", json::escape(planSchemaVersion))
         .field("key", json::escape(key))
         .field("record", result_io::recordToJson(record));
+    std::string body = doc.close('}');
+    body.pop_back(); // the sum field closes the object
 
     const std::string path = entryPathOfHash(contentHashOfKey(key));
     const std::string tmp =
@@ -316,7 +360,7 @@ ResultCache::store(const ExperimentJob &job, const RunRecord &record)
             warn("result cache: cannot write '", tmp, "'");
             return;
         }
-        os << doc.close('}') << "\n";
+        os << sealEntry(std::move(body));
         os.flush();
         if (!os) {
             warn("result cache: short write to '", tmp, "'");
@@ -486,7 +530,10 @@ ResultCache::verify() const
                 throw FatalError("unreadable");
             std::ostringstream buf;
             buf << is.rdbuf();
-            const json::Value doc = json::parse(buf.str());
+            const std::string text = buf.str();
+            if (!sealIntact(text))
+                throw FatalError("checksum mismatch");
+            const json::Value doc = json::parse(text);
             if (!doc.has("schema") ||
                 doc.at("schema").asString() != cacheSchema) {
                 throw FatalError("wrong cache entry schema");

@@ -5,26 +5,28 @@
  *
  * Layout: one flat directory, one JSON file per cached job, named by
  * the job's 64-bit content hash in zero-padded hex
- * ("<016x-hash>.json"). Each entry is a sac.cache.v1 document:
+ * ("<016x-hash>.json"). Each entry is a sac.cache.v2 document:
  *
- *   { "schema": "sac.cache.v1",
+ *   { "schema": "sac.cache.v2",
  *     "plan":   "<planSchemaVersion>",
  *     "key":    "<canonicalJobKey(job)>",
- *     "record": { ...RunRecord, canonical (no timing)... } }
+ *     "record": { ...RunRecord, canonical (no timing)... },
+ *     "sum":    "<016x FNV-1a 64 of every byte before ,"sum">" }
  *
  * The full canonical key is stored next to the hash, so a lookup
  * verifies the key byte-for-byte: a hash collision or an entry
  * written under a different plan schema is rejected and re-simulated
- * instead of served wrong.
+ * instead of served wrong. The sum catches damage the JSON parser
+ * cannot see, such as a flipped byte inside a string value.
  *
  * Writes are atomic: each store serializes to a private temporary in
  * the same directory and rename()s it over the final name, so a
  * reader never sees a torn entry and concurrent writers of the same
  * key resolve to one winner (last rename wins — both wrote the same
  * bytes by construction). The reader is tolerant in the
- * sac.checkpoint.v1 idiom: an unreadable, unparseable, wrong-schema
- * or key-mismatched entry is counted and treated as a miss; the next
- * store overwrites it.
+ * sac.checkpoint.v1 idiom: an unreadable, unparseable, wrong-schema,
+ * checksum-failing or key-mismatched entry is counted and treated as
+ * a miss; the next store overwrites it.
  *
  * Eviction: a byte/entry Budget with LRU-by-mtime pruning (lookup
  * hits touch the entry's mtime). prune() runs under an advisory
@@ -81,7 +83,8 @@ class ResultCache : public JobCache
         std::uint64_t misses = 0;
         std::uint64_t stores = 0;
         /** Entries present but unusable (torn, corrupt, wrong
-         *  schema, key mismatch); each also counts as a miss. */
+         *  schema, checksum or key mismatch); each also counts as a
+         *  miss. */
         std::uint64_t rejected = 0;
         /** Hits served from the in-memory warm tier (a subset of
          *  hits). */
@@ -118,8 +121,9 @@ class ResultCache : public JobCache
     {
         std::uint64_t entries = 0;
         std::uint64_t bytes = 0;
-        /** Entries the tolerant reader would reject: unparseable,
-         *  wrong schema, or filename != hash(stored key). */
+        /** Entries the tolerant reader would reject: checksum
+         *  mismatch, unparseable, wrong schema, or filename !=
+         *  hash(stored key). */
         std::uint64_t rejected = 0;
     };
 
@@ -167,11 +171,12 @@ class ResultCache : public JobCache
     PruneReport prune(const Budget &budget);
 
     /**
-     * Tolerant integrity scan of every entry on disk: parses each,
-     * checks the schema and that the filename matches the hash of the
-     * stored canonical key. Counts — never throws, never repairs.
-     * The CI soak asserts rejected == 0 after concurrent sessions, a
-     * mid-sweep SIGTERM and a SIGKILLed prune.
+     * Tolerant integrity scan of every entry on disk: checks each
+     * one's checksum, parses it, checks the schema and that the
+     * filename matches the hash of the stored canonical key. Counts
+     * — never throws, never repairs. The CI soak asserts rejected == 0
+     * after concurrent sessions, a mid-sweep SIGTERM and a SIGKILLed
+     * prune.
      */
     VerifyReport verify() const;
 

@@ -75,7 +75,6 @@ Chip::registerMemoryComponent(sim::Scheduler &sched)
 void
 Chip::tickClusters(Cycle now, ClusterEnv &env)
 {
-    respXbar.beginCycle();
     Packet resp;
     for (auto &cluster : clusters) {
         while (respXbar.tryPop(cluster->id(), resp, now))

@@ -158,8 +158,7 @@ class Chip : public SliceEnv
   private:
     /**
      * The chip's memory phase (bypass-queue retry, DRAM tick, fill
-     * dispatch) as one schedulable unit. DRAM is timestamp-based, so
-     * the default no-op skipIdleCycles is exact.
+     * dispatch) as one schedulable unit.
      */
     class MemoryUnit final : public sim::Component
     {

@@ -8,7 +8,9 @@
 
 namespace sac {
 
-const char *const planSchemaVersion = "sac.plan.v1";
+// v2: bandwidth credit became exact micro-byte arithmetic, which moves
+// results for bandwidths that are not exact binary fractions.
+const char *const planSchemaVersion = "sac.plan.v2";
 
 double
 dataScale(const GpuConfig &cfg)
@@ -224,7 +226,7 @@ contentHash(const ExperimentJob &job)
 }
 
 std::uint64_t
-contentHashOfKey(const std::string &key)
+contentHashOfKey(std::string_view key)
 {
     return fnv1a(fnvOffset, key.data(), key.size());
 }

@@ -18,7 +18,8 @@
  * measurements: labels, telemetry options, fast-forward, watchdog
  * limits, fault specs, retry policy, checkpoint paths. The hash is
  * versioned by planSchemaVersion; bump it whenever the canonical key
- * gains, loses or reorders a field.
+ * gains, loses or reorders a field, or the model changes the results
+ * an existing key maps to.
  */
 
 #ifndef SAC_SIM_PLAN_HH
@@ -26,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.hh"
@@ -129,9 +131,10 @@ std::uint64_t contentHash(const ExperimentJob &job);
  * The same FNV-1a 64 over an already-serialized canonical key.
  * contentHash(job) == contentHashOfKey(canonicalJobKey(job)) by
  * construction; cache integrity scans use this to re-derive an
- * entry's expected filename from the key it stores.
+ * entry's expected filename from the key it stores, and cache
+ * entries use it as the checksum of their own bytes.
  */
-std::uint64_t contentHashOfKey(const std::string &key);
+std::uint64_t contentHashOfKey(std::string_view key);
 
 /**
  * Bounded retry for TransientError failures. Retries happen inline

@@ -119,9 +119,7 @@ WakeQueue::siftDown(std::size_t i)
 ComponentId
 Scheduler::add(Component &c)
 {
-    const ComponentId id = queue_.add(c);
-    lastTickPlus1_.push_back(0);
-    return id;
+    return queue_.add(c);
 }
 
 void
@@ -137,12 +135,13 @@ void
 Scheduler::tickComponent(ComponentId id, Cycle now)
 {
     Component &c = queue_.component(id);
-    const Cycle base = std::max(lastTickPlus1_[id], fullTickFloor_);
-    SAC_ASSERT(base <= now, "component ", c.name(),
-               " ticked twice in cycle ", now);
-    if (now > base)
-        c.skipIdleCycles(now - base);
-    lastTickPlus1_[id] = now + 1;
+    // Same-cycle wakes clamp so that a cycle's ticks follow ordinal
+    // order; only a key left stale below `now` can break it.
+    SAC_ASSERT(curOrdinal_ == invalidComponent || id > curOrdinal_,
+               "component ", c.name(), " ticked out of ordinal order in "
+               "cycle ", now, " (after ",
+               queue_.component(curOrdinal_).name(), ")");
+    curOrdinal_ = id;
     c.tick(now);
     // Lazy re-key: nextEventCycle clamps to its argument, so the new
     // key is > now and both regimes' loops always terminate.
@@ -166,7 +165,6 @@ Scheduler::runCycle(Cycle now)
         for (ComponentId id = 0; id < n; ++id) {
             if (queue_.keyOf(id) > now)
                 continue;
-            curOrdinal_ = id;
             tickComponent(id, now);
             ++ticked;
         }
@@ -175,7 +173,6 @@ Scheduler::runCycle(Cycle now)
             const ComponentId id = queue_.peekDue(now);
             if (id == invalidComponent)
                 break;
-            curOrdinal_ = id;
             tickComponent(id, now);
             ++stats_.heapPops;
             ++ticked;
@@ -217,23 +214,13 @@ Scheduler::updateRegime(std::uint32_t ticked)
 }
 
 void
-Scheduler::onClockJump(Cycle from, Cycle to)
+Scheduler::onClockJump(Cycle to)
 {
-    const Cycle delta = to - from;
-    for (auto &last : lastTickPlus1_)
-        last += delta;
-    fullTickFloor_ += delta;
     // Keys left below the landing cycle are all due at it. Raising
     // them to it makes their (key, ordinal) order the ordinal order
     // again, so the heap pops them in reference phase order instead
     // of by stale key.
     queue_.raiseKeys(to);
-}
-
-void
-Scheduler::onFullTick(Cycle now)
-{
-    fullTickFloor_ = std::max(fullTickFloor_, now + 1);
 }
 
 } // namespace sim

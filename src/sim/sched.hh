@@ -18,8 +18,8 @@
  *     a spurious tick of an idle component is a no-op, because the
  *     reference loop ticks everything every cycle anyway.
  *  2. Keys move *earlier* only through Scheduler::wake(), called by
- *     producers at every push chokepoint (enqueue, credit refill,
- *     MSHR fill, memory-slot free). Keys move *later* only lazily:
+ *     producers at every push chokepoint (enqueue, MSHR fill,
+ *     memory-slot free). Keys move *later* only lazily:
  *     when the component is popped and ticked, the scheduler re-keys
  *     it from its own nextEventCycle(). A state change that defers
  *     work (a pause, a drained queue) therefore costs at most one
@@ -29,13 +29,11 @@
  *     current cycle from a component at an equal or later ordinal is
  *     clamped to the next cycle — exactly the visibility the phase
  *     structure of System::tick() gives pushes.
- *  4. Idle bandwidth refills are replayed per component: the
- *     scheduler tracks each component's last ticked cycle and calls
- *     skipIdleCycles() for the gap before re-ticking, so budget caps
- *     saturate bit-exactly as if the component had been ticked every
- *     cycle. Clock jumps that the reference loop also takes without
- *     ticking (kernel-boundary flush stalls) are excluded via
- *     onClockJump().
+ *  4. A component's state does not depend on which idle cycles it
+ *     was ticked in. Bandwidth credit is exact integer arithmetic
+ *     that refills lazily from elapsed time (noc/queue.hh, Credit),
+ *     and everything else is timestamp-based, so any component may
+ *     tick at any cycle and skipped cycles need no replay.
  */
 
 #ifndef SAC_SIM_SCHED_HH
@@ -75,17 +73,6 @@ class Component
      * late, early at worst costs a spurious tick.
      */
     virtual Cycle nextEventCycle(Cycle now) const = 0;
-
-    /**
-     * Replays @p cycles of idle per-cycle bandwidth refills in one
-     * call (see BwQueue::skipIdleCycles). Default no-op for
-     * timestamp-based components with no per-cycle state.
-     */
-    virtual void
-    skipIdleCycles(Cycle cycles)
-    {
-        (void)cycles;
-    }
 };
 
 /**
@@ -190,9 +177,8 @@ class WakeQueue
 
 /**
  * Drives the registered components through event-driven cycles while
- * preserving reference-loop semantics: per-component idle-refill
- * replay, in-cycle ordinal ordering with same-cycle wake clamping,
- * and clock-jump exclusion.
+ * preserving reference-loop semantics: in-cycle ordinal ordering with
+ * same-cycle wake clamping.
  *
  * The scheduler runs in one of two regimes, switched adaptively on
  * the measured due-fraction (components ticked / components
@@ -251,27 +237,20 @@ class Scheduler
     Cycle nextDue() const { return queue_.nextDue(); }
 
     /**
-     * Ticks every due component at @p now in ordinal order, replaying
-     * each one's idle refill gap first, then lazily re-keys it from
-     * its own nextEventCycle(now + 1).
+     * Ticks every due component at @p now in ordinal order, then
+     * lazily re-keys each from its own nextEventCycle(now + 1).
+     * Panics if the ticked ordinals do not strictly increase — a
+     * stale key popped ahead of an earlier ordinal.
      */
     void runCycle(Cycle now);
 
     /**
-     * The clock jumped from @p from to @p to without ticking (kernel-
-     * boundary flush stall). The reference loop performs no refills
-     * across such a jump, so the replay bookkeeping must skip it too.
-     * Keys below @p to are raised to it, so the components due at
-     * the landing cycle tick in ordinal order.
+     * The clock jumped to @p to without ticking (kernel-boundary
+     * flush stall). Keys below @p to are raised to it, so the
+     * components due at the landing cycle tick in ordinal order
+     * rather than by stale key.
      */
-    void onClockJump(Cycle from, Cycle to);
-
-    /**
-     * The reference loop ticked every component at @p now
-     * (System::tick() ran). Keeps the replay bookkeeping exact when
-     * reference ticks and event-driven advances interleave.
-     */
-    void onFullTick(Cycle now);
+    void onClockJump(Cycle to);
 
     const WakeQueue &queue() const { return queue_; }
 
@@ -318,10 +297,6 @@ class Scheduler
     void updateRegime(std::uint32_t ticked);
 
     WakeQueue queue_;
-    /** Per component: cycle after its last tick (replay gap base). */
-    std::vector<Cycle> lastTickPlus1_;
-    /** Cycle after the last full reference tick (see onFullTick). */
-    Cycle fullTickFloor_ = 0;
     Cycle curCycle_ = 0;
     ComponentId curOrdinal_ = invalidComponent;
     bool inCycle_ = false;

@@ -78,8 +78,8 @@ class System::FaultHookService final : public RunService
 };
 
 /**
- * The inter-chip network as one schedulable unit: credit refill, link
- * movement and arrival dispatch (reference phases 1+2).
+ * The inter-chip network as one schedulable unit: link movement and
+ * arrival dispatch (reference phase 2).
  */
 class System::NetUnit final : public sim::Component
 {
@@ -94,12 +94,6 @@ class System::NetUnit final : public sim::Component
     nextEventCycle(Cycle now) const override
     {
         return sys_.icn.nextEventCycle(now);
-    }
-
-    void
-    skipIdleCycles(Cycle cycles) override
-    {
-        sys_.icn.skipIdleCycles(cycles);
     }
 
   private:
@@ -437,8 +431,6 @@ System::countResponse(const Packet &pkt)
 void
 System::tick()
 {
-    icn.beginCycle();
-
     // 1. SMs issue (into local slice ports or the inter-chip net).
     for (auto &chip : chips)
         chip->tickClusters(clock, *this);
@@ -456,18 +448,12 @@ System::tick()
         chip->tickSlices(clock);
     for (auto &chip : chips)
         chip->tickMemory(clock);
-
-    // Everything was ticked (and so refilled) this cycle; keep the
-    // scheduler's per-component replay bookkeeping in step for runs
-    // that mix tick() and advance().
-    sched_.onFullTick(clock);
     ++clock;
 }
 
 void
 System::tickNetwork(Cycle now)
 {
-    icn.beginCycle();
     icn.tick(now);
     Packet pkt;
     for (auto &chip : chips) {
@@ -727,9 +713,8 @@ System::finishKernel()
             eventTrace_->flush(currentKernel, clock, done - clock,
                                "kernel-boundary");
         if (done > clock) {
-            // The reference loop jumps the clock here without ticking
-            // anything: exclude the jump from idle-refill replay.
-            sched_.onClockJump(clock, done);
+            // Both loops jump the clock here without ticking anything.
+            sched_.onClockJump(done);
             clock = done;
         }
     }

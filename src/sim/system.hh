@@ -248,8 +248,7 @@ class System : public ClusterEnv,
      * Advances simulated time by one *event*: pops the scheduler's
      * wake queue and ticks only the components that are due this
      * cycle, first jumping the clock to the earliest component or
-     * run-loop-service deadline when nothing is due now (replaying
-     * the skipped bandwidth refills bit-exactly per component). With
+     * run-loop-service deadline when nothing is due now. With
      * fast-forward disabled, identical to tick() — the per-cycle
      * reference loop. Either way every observable result is the
      * same; only wall time differs (sim/sched.hh has the contract).
@@ -346,9 +345,9 @@ class System : public ClusterEnv,
 
     bool allDone() const;
     /**
-     * One inter-chip network phase: credit refill, link movement,
-     * then arrival dispatch into the chips. The NetUnit component's
-     * tick; also phases 1+2 of the reference System::tick().
+     * One inter-chip network phase: link movement, then arrival
+     * dispatch into the chips. The NetUnit component's tick; also
+     * phase 2 of the reference System::tick().
      */
     void tickNetwork(Cycle now);
     void launchKernel(const KernelDescriptor &kernel);

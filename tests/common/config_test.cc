@@ -202,6 +202,34 @@ TEST(Config, SlicesPerChipIsBoundedByThePacketField)
     EXPECT_EQ(contextOf(cfg), "GpuConfig.slicesPerChip");
 }
 
+TEST(Config, BandwidthsMustBeFiniteAndRepresentable)
+{
+    // Credit counts micro-bytes: every bandwidth must be finite and
+    // in [1e-6, 1e9] B/cycle, and a rejection names the field.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const char *field :
+         {"xbarPortBw", "sliceBw", "dramChannelBw", "interChipBw"}) {
+        const auto with = [field](double bw) {
+            GpuConfig cfg;
+            const std::string f = field;
+            double &slot = f == "xbarPortBw"      ? cfg.xbarPortBw
+                           : f == "sliceBw"       ? cfg.sliceBw
+                           : f == "dramChannelBw" ? cfg.dramChannelBw
+                                                  : cfg.interChipBw;
+            slot = bw;
+            return contextOf(cfg);
+        };
+        const std::string named = std::string("GpuConfig.") + field;
+        for (double bad : {nan, inf, -inf, 0.0, -1.0, 1e-300, 9.9e-7,
+                           1.0000001e9}) {
+            EXPECT_EQ(with(bad), named) << field << " = " << bad;
+        }
+        for (double good : {1e-6, 0.625, 100.3, 1e9})
+            EXPECT_EQ(with(good), "(validated)") << field << " = " << good;
+    }
+}
+
 TEST(Config, DerivedQuantities)
 {
     GpuConfig cfg;

@@ -20,7 +20,6 @@ pkt(unsigned bytes, std::uint64_t id = 0)
 TEST(InterChip, DeliversAfterHopLatency)
 {
     InterChipNet icn(4, 1000.0, 80);
-    icn.beginCycle();
     icn.send(0, 2, pkt(32, 7), 0);
     icn.tick(0);
     Packet out;
@@ -38,7 +37,6 @@ TEST(InterChip, EgressBandwidthThrottles)
     int received = 0;
     Packet out;
     for (Cycle t = 0; t < 5; ++t) {
-        icn.beginCycle();
         icn.tick(t);
         while (icn.receive(1, out, t))
             ++received;
@@ -53,7 +51,6 @@ TEST(InterChip, PerChipEgressIsIndependent)
     InterChipNet icn(3, 32.0, 0);
     icn.send(0, 2, pkt(32), 0);
     icn.send(1, 2, pkt(32), 0);
-    icn.beginCycle();
     icn.tick(0);
     Packet out;
     int received = 0;
@@ -67,7 +64,6 @@ TEST(InterChip, CountsBytesAndInFlight)
     InterChipNet icn(2, 1000.0, 10);
     icn.send(0, 1, pkt(64), 0);
     EXPECT_EQ(icn.inFlight(), 1u);
-    icn.beginCycle();
     icn.tick(0);
     EXPECT_EQ(icn.bytesTransferred(), 64u);
     EXPECT_EQ(icn.inFlight(), 1u); // now in the arrival queue
@@ -81,21 +77,6 @@ TEST(InterChip, SelfSendPanics)
     InterChipNet icn(2, 10.0, 1);
     EXPECT_THROW(icn.send(1, 1, pkt(8), 0), PanicError);
     EXPECT_THROW(icn.send(0, 5, pkt(8), 0), PanicError);
-}
-
-TEST(InterChip, SetEgressBandwidth)
-{
-    InterChipNet icn(2, 8.0, 0);
-    icn.setEgressBandwidth(4096.0);
-    for (int i = 0; i < 8; ++i)
-        icn.send(0, 1, pkt(128), 0);
-    icn.beginCycle();
-    icn.tick(0);
-    Packet out;
-    int n = 0;
-    while (icn.receive(1, out, 0))
-        ++n;
-    EXPECT_EQ(n, 8);
 }
 
 } // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
+
 #include "common/log.hh"
 #include "noc/queue.hh"
 
@@ -21,7 +27,6 @@ TEST(BwQueue, LatencyGatesDelivery)
     BwQueue q(1000.0, 10);
     q.push(pkt(8), 0);
     Packet out;
-    q.beginCycle();
     EXPECT_FALSE(q.tryPop(out, 9));
     EXPECT_TRUE(q.tryPop(out, 10));
 }
@@ -33,13 +38,11 @@ TEST(BwQueue, BandwidthLimitsDrainPerCycle)
         q.push(pkt(128), 0);
     Packet out;
     int drained = 0;
-    q.beginCycle();
     while (q.tryPop(out, 0))
         ++drained;
     // First cycle allows the burst carry (2x budget cap): two packets.
     EXPECT_LE(drained, 2);
     for (Cycle t = 1; t <= 4; ++t) {
-        q.beginCycle();
         while (q.tryPop(out, t))
             ++drained;
     }
@@ -55,7 +58,6 @@ TEST(BwQueue, FractionalBandwidthAveragesOut)
     Packet out;
     int drained = 0;
     for (Cycle t = 0; t < 100; ++t) {
-        q.beginCycle();
         while (q.tryPop(out, t))
             ++drained;
     }
@@ -74,7 +76,6 @@ TEST(BwQueue, ThroughputMatchesBandwidthProperty)
         std::uint64_t drained_bytes = 0;
         const Cycle horizon = 1000;
         for (Cycle t = 0; t < horizon; ++t) {
-            q.beginCycle();
             while (q.tryPop(out, t))
                 drained_bytes += out.bytes;
         }
@@ -104,11 +105,10 @@ TEST(BwQueue, PeekReadyAndPopHeadPreserveOrder)
     b.id = 2;
     q.push(a, 0);
     q.push(b, 0);
-    q.beginCycle();
     const Packet *head = q.peekReady(0);
     ASSERT_NE(head, nullptr);
     EXPECT_EQ(head->id, 1u);
-    q.popHead();
+    q.popHead(0);
     head = q.peekReady(0);
     ASSERT_NE(head, nullptr);
     EXPECT_EQ(head->id, 2u);
@@ -122,15 +122,13 @@ TEST(BwQueue, OversizedPacketsSerializeAsDebt)
     BwQueue q(8.0, 0);
     q.push(pkt(128), 0);
     q.push(pkt(128), 0);
-    q.beginCycle();
     ASSERT_NE(q.peekReady(0), nullptr);
-    q.popHead();
+    q.popHead(0);
     EXPECT_EQ(q.peekReady(0), nullptr); // in debt now
     Cycle t = 1;
     Packet out;
     int waited = 0;
     for (; t < 100; ++t) {
-        q.beginCycle();
         if (q.tryPop(out, t))
             break;
         ++waited;
@@ -141,12 +139,10 @@ TEST(BwQueue, OversizedPacketsSerializeAsDebt)
 
 TEST(BwQueue, CreditCapsAtTwoCyclesOfBandwidth)
 {
-    // An idle queue accrues at most one cycle of carry: after any
-    // number of empty cycles the first busy cycle drains 2*bw bytes,
-    // not the whole backlog.
+    // An idle queue accrues at most one cycle of carry: after 50
+    // empty cycles the first busy cycle drains 2*bw bytes, not the
+    // whole backlog.
     BwQueue q(128.0, 0);
-    for (Cycle t = 0; t < 50; ++t)
-        q.beginCycle(); // idle accrual, must clamp at 256 bytes
     for (int i = 0; i < 8; ++i)
         q.push(pkt(128), 50);
     Packet out;
@@ -166,18 +162,15 @@ TEST(BwQueue, LatencyAndCapacityInteract)
     EXPECT_FALSE(q.canPush());
     Packet out;
     for (Cycle t = 0; t < 5; ++t) {
-        q.beginCycle();
         EXPECT_FALSE(q.tryPop(out, t));
         EXPECT_FALSE(q.canPush());
     }
-    q.beginCycle();
     EXPECT_TRUE(q.tryPop(out, 5));
     EXPECT_TRUE(q.canPush());
     // The freed slot accepts a push whose latency clock starts now.
     q.push(pkt(8), 5);
     EXPECT_TRUE(q.tryPop(out, 5)); // the remaining original packet
     EXPECT_FALSE(q.tryPop(out, 9));
-    q.beginCycle();
     EXPECT_TRUE(q.tryPop(out, 10));
 }
 
@@ -193,93 +186,157 @@ TEST(BwQueue, NextEventCycleContract)
     EXPECT_EQ(q.nextEventCycle(7), Cycle{10});
 
     // Head ready and credit available: work right now.
-    q.beginCycle();
     EXPECT_EQ(q.nextEventCycle(10), Cycle{10});
 }
 
 TEST(BwQueue, NextEventCycleAccountsForThisCyclesRefill)
 {
-    // Drain a 128-byte packet through an 8 B/cy queue: the budget
-    // goes to -120 and the next packet waits on repayment. While the
-    // debt is deeper than one refill the event is "next cycle"
-    // (conservative; skipped refills are replayed), but once a single
-    // refill would go positive the event must be "now" — the tick's
-    // own beginCycle() refill precedes draining.
+    // Drain a 128-byte packet through an 8 B/cy queue at cycle 0: the
+    // credit goes to 8 - 128 = -120 and the next packet waits on
+    // repayment. Cycle t refills to -120 + 8t, so the first credited
+    // cycle is 16 — and nextEventCycle names it exactly, from any
+    // earlier cycle, because each cycle's refill precedes draining.
     BwQueue q(8.0, 0);
     q.push(pkt(128), 0);
     q.push(pkt(8), 0);
-    q.beginCycle();
     ASSERT_NE(q.peekReady(0), nullptr);
-    q.popHead(); // budget now 8 - 128 = -120
-    Cycle t = 0;
+    q.popHead(0);
+    for (Cycle t = 0; t <= 16; ++t)
+        EXPECT_EQ(q.nextEventCycle(t), Cycle{16}) << "t=" << t;
     Packet out;
-    for (;; ++t) {
-        const Cycle next = q.nextEventCycle(t);
-        ASSERT_NE(next, cycleNever);
-        if (next == t) {
-            // Claimed ready this very cycle: the reference loop's
-            // refill-then-drain must succeed.
-            q.beginCycle();
-            ASSERT_TRUE(q.tryPop(out, t));
-            break;
-        }
-        ASSERT_EQ(next, t + 1); // debt: one conservative step
-        q.beginCycle();
-        ASSERT_FALSE(q.tryPop(out, t));
-        ASSERT_LT(t, Cycle{100}) << "debt never repaid";
-    }
-    EXPECT_EQ(t, Cycle{15}); // 120 / 8 = 15 refills to go positive
+    EXPECT_FALSE(q.tryPop(out, 15));
+    EXPECT_TRUE(q.tryPop(out, 16));
+    EXPECT_EQ(q.nextEventCycle(16), cycleNever);
 }
 
-TEST(BwQueue, SkipIdleCyclesMatchesBeginCycleLoop)
+TEST(BwQueue, NextEventCycleWaitsForLatencyAndCredit)
 {
-    // Bit-exactness property behind fast-forward: replaying N idle
-    // cycles must leave the identical budget double as N beginCycle()
-    // calls, including debt repayment and saturation, for awkward
-    // fractional bandwidths.
-    for (double bw : {7.3, 56.0, 0.625}) {
-        for (Cycle n : {Cycle{1}, Cycle{7}, Cycle{1000}}) {
-            BwQueue a(bw, 0);
-            BwQueue b(bw, 0);
-            // Put both queues into identical debt.
-            a.push(pkt(128), 0);
-            b.push(pkt(128), 0);
-            a.beginCycle();
-            b.beginCycle();
-            a.popHead();
-            b.popHead();
-            for (Cycle t = 0; t < n; ++t)
-                a.beginCycle();
-            b.skipIdleCycles(n);
-            a.push(pkt(8), n);
-            b.push(pkt(8), n);
-            Packet out_a, out_b;
-            for (Cycle t = n; t < n + 400; ++t) {
-                a.beginCycle();
-                b.beginCycle();
-                const bool pa = a.tryPop(out_a, t);
-                const bool pb = b.tryPop(out_b, t);
-                ASSERT_EQ(pa, pb) << "bw=" << bw << " n=" << n
-                                  << " diverged at t=" << t;
-                if (pa)
-                    break;
+    // A head whose latency ends while the credit is still in debt
+    // drains when both hold, not at its readyAt.
+    BwQueue q(8.0, 4);
+    q.push(pkt(128), 0);
+    q.push(pkt(8), 0);
+    EXPECT_EQ(q.nextEventCycle(0), Cycle{4});
+    q.popHead(4); // credit 16 - 128 = -112, repaid at cycle 4 + 15
+    EXPECT_EQ(q.nextEventCycle(4), Cycle{19});
+    EXPECT_EQ(q.peekReady(18), nullptr);
+    EXPECT_NE(q.peekReady(19), nullptr);
+}
+
+/**
+ * The per-cycle token bucket the lazy Credit must equal: every cycle
+ * adds the rate and clamps at the cap, then drains while positive.
+ */
+struct EveryCycleBucket
+{
+    explicit EveryCycleBucket(double bw)
+        : rate(std::llround(bw * static_cast<double>(Credit::unit))),
+          cap(2 * rate)
+    {
+    }
+
+    /** Applies every cycle's refill up to and including @p t. */
+    void
+    refillThrough(Cycle t)
+    {
+        for (; next <= t; ++next) {
+            if (level == cap) {
+                next = t + 1; // further refills are no-ops
+                break;
+            }
+            level = std::min(level + rate, cap);
+        }
+    }
+
+    std::int64_t rate;
+    std::int64_t cap;
+    std::int64_t level = 0;
+    Cycle next = 0;
+    std::deque<unsigned> queued;
+};
+
+TEST(BwQueue, LazyCatchUpMatchesTouchingEveryCycle)
+{
+    // The property that lets any component tick at any cycle: a queue
+    // touched only at the cycles its nextEventCycle names, after
+    // random idle gaps (up to 2^40 cycles) and from random debt,
+    // drains exactly when a bucket refilled cycle by cycle does. The
+    // bandwidths include non-integral ones a double budget could not
+    // refill in closed form.
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    const auto draw = [&rng](std::uint64_t bound) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng % bound;
+    };
+    for (double bw : {0.625, 7.3, 56.0, 96.0, 100.3}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            EveryCycleBucket ref(bw);
+            BwQueue lazy(bw, 0);
+            Cycle t = 0;
+            for (int round = 0; round < 8; ++round) {
+                // A burst of up to four packets, most larger than a
+                // cycle's credit: the drain runs into debt.
+                const auto burst = 1 + draw(4);
+                for (std::uint64_t i = 0; i < burst; ++i) {
+                    const auto bytes =
+                        static_cast<unsigned>(8 + draw(249));
+                    ref.queued.push_back(bytes);
+                    lazy.push(pkt(bytes), t);
+                }
+                Cycle lazy_at = lazy.nextEventCycle(t);
+                while (!ref.queued.empty()) {
+                    ref.refillThrough(t);
+                    if (ref.level <= 0) {
+                        ASSERT_GT(lazy_at, t) << "bw=" << bw << " t=" << t;
+                        ++t;
+                        continue;
+                    }
+                    ASSERT_EQ(lazy_at, t) << "bw=" << bw << " t=" << t;
+                    Packet out;
+                    ASSERT_TRUE(lazy.tryPop(out, t));
+                    ASSERT_EQ(out.bytes, ref.queued.front());
+                    ref.level -= static_cast<std::int64_t>(out.bytes) *
+                                 Credit::unit;
+                    ref.queued.pop_front();
+                    lazy_at = lazy.nextEventCycle(t);
+                }
+                ASSERT_EQ(lazy_at, cycleNever);
+                t += draw(4) == 0 ? Cycle{1} << draw(41) : draw(300);
             }
         }
     }
 }
 
-TEST(BwQueue, SetBandwidthTakesEffect)
+TEST(Credit, SaturatesAtTheCapForAnyGap)
 {
-    BwQueue q(8.0, 0);
-    q.setBandwidth(1024.0);
-    for (int i = 0; i < 4; ++i)
-        q.push(pkt(128), 0);
-    q.beginCycle();
-    Packet out;
-    int n = 0;
-    while (q.tryPop(out, 0))
-        ++n;
-    EXPECT_EQ(n, 4);
+    Credit c(100.3);
+    const std::int64_t rate = 100300000;
+    EXPECT_EQ(c.at(0), rate);
+    EXPECT_EQ(c.at(1), 2 * rate);
+    EXPECT_EQ(c.at(Cycle{1} << 40), 2 * rate);
+    EXPECT_EQ(c.at(cycleNever - 1), 2 * rate);
+    c.spend(1000, Cycle{1} << 40); // 2 * 100.3 - 1000 B of debt
+    EXPECT_EQ(c.at(Cycle{1} << 40), 2 * rate - 1000 * Credit::unit);
+    EXPECT_FALSE(c.ready(Cycle{1} << 40));
+    const Cycle ready = c.readyCycle(Cycle{1} << 40);
+    EXPECT_FALSE(c.ready(ready - 1));
+    EXPECT_TRUE(c.ready(ready));
+    EXPECT_EQ(ready - (Cycle{1} << 40), Cycle{8}); // -799.4 + 8 * 100.3 > 0
+}
+
+TEST(Credit, RejectsUnrepresentableRates)
+{
+    EXPECT_THROW(Credit(0.0), PanicError);
+    EXPECT_THROW(Credit(4e-7), PanicError); // rounds to 0 micro-bytes
+    EXPECT_THROW(Credit(2e9), PanicError);
+    EXPECT_THROW(Credit(std::numeric_limits<double>::quiet_NaN()),
+                 PanicError);
+    EXPECT_THROW(Credit(std::numeric_limits<double>::infinity()),
+                 PanicError);
+    EXPECT_NO_THROW(Credit(1e-6));
+    EXPECT_NO_THROW(Credit(1e9));
 }
 
 } // namespace

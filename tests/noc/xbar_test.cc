@@ -22,7 +22,6 @@ TEST(Xbar, PortsAreIndependent)
     Xbar x(4, 128.0, 0);
     x.push(0, pkt(128, 1), 0);
     x.push(3, pkt(128, 2), 0);
-    x.beginCycle();
     Packet out;
     EXPECT_TRUE(x.tryPop(0, out, 0));
     EXPECT_EQ(out.id, 1u);
@@ -39,7 +38,6 @@ TEST(Xbar, PerPortBandwidth)
     Packet out;
     int drained = 0;
     for (Cycle t = 0; t < 3; ++t) {
-        x.beginCycle();
         while (x.tryPop(0, out, t))
             ++drained;
     }
@@ -53,7 +51,6 @@ TEST(Xbar, TraversalLatency)
 {
     Xbar x(1, 1000.0, 12);
     x.push(0, pkt(8), 100);
-    x.beginCycle();
     Packet out;
     EXPECT_FALSE(x.tryPop(0, out, 111));
     EXPECT_TRUE(x.tryPop(0, out, 112));
@@ -65,7 +62,6 @@ TEST(Xbar, QueueDepthAndBytesReporting)
     x.push(1, pkt(64), 0);
     x.push(1, pkt(64), 0);
     EXPECT_EQ(x.queued(1), 2u);
-    x.beginCycle();
     Packet out;
     x.tryPop(1, out, 0);
     EXPECT_EQ(x.bytesDrained(), 64u);
@@ -76,20 +72,6 @@ TEST(Xbar, BadPortPanics)
     Xbar x(2, 64.0, 0);
     EXPECT_THROW(x.push(2, pkt(8), 0), PanicError);
     EXPECT_THROW(x.push(-1, pkt(8), 0), PanicError);
-}
-
-TEST(Xbar, SetPortBandwidth)
-{
-    Xbar x(1, 8.0, 0);
-    x.setPortBandwidth(512.0);
-    for (int i = 0; i < 4; ++i)
-        x.push(0, pkt(128), 0);
-    x.beginCycle();
-    Packet out;
-    int n = 0;
-    while (x.tryPop(0, out, 0))
-        ++n;
-    EXPECT_EQ(n, 4);
 }
 
 } // namespace

@@ -186,7 +186,7 @@ TEST(ResultCache, TornCorruptAndWrongSchemaEntriesReSimulate)
 
     // Damage all three entries differently: truncate one mid-record
     // (a torn write without the rename protocol), flip a byte in
-    // another, and rewrite the third with the wrong schema tag.
+    // another, and rewrite the third with a stale schema tag.
     ResultCache cache(dir.path);
     const auto entry = [&](std::size_t i) {
         return cache.entryPath(plan[i]);
@@ -196,13 +196,13 @@ TEST(ResultCache, TornCorruptAndWrongSchemaEntriesReSimulate)
         entry(1), std::filesystem::file_size(entry(1)) / 2);
     {
         std::ofstream os(entry(2));
-        os << "{\"schema\":\"sac.cache.v2\",\"record\":{}}\n";
+        os << "{\"schema\":\"sac.cache.v1\",\"record\":{}}\n";
     }
 
     const auto records = runWithCache(plan, cache);
     EXPECT_EQ(docOf(records), reference);
     EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_GE(cache.stats().rejected, 2u); // corruptFile may stay JSON
+    EXPECT_EQ(cache.stats().rejected, 3u); // the checksum sees any flip
     EXPECT_EQ(cache.stats().stores, 3u);   // all three re-persisted
 
     // The repaired entries serve the next run.
@@ -232,6 +232,47 @@ TEST(ResultCache, KeyMismatchedEntryIsRejectedNotServed)
     EXPECT_EQ(docOf(runWithCache(plan, fresh)), reference);
     EXPECT_EQ(fresh.stats().hits, 1u);
     EXPECT_EQ(fresh.stats().rejected, 1u);
+}
+
+/** Replaces the first @p from in @p path's bytes with @p to (same
+ *  length, so the file stays well-formed JSON). */
+void
+rewriteInPlace(const std::string &path, const std::string &from,
+               const std::string &to)
+{
+    ASSERT_EQ(from.size(), to.size());
+    std::string text;
+    {
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        text = buf.str();
+    }
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from << " not in " << path;
+    text.replace(at, from.size(), to);
+    std::fstream os(path, std::ios::binary | std::ios::in | std::ios::out);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+TEST(ResultCache, FlippedByteInsideAStringValueIsRejected)
+{
+    // "RN" -> "R\xb1": still valid JSON with every field in place,
+    // so only the entry checksum can tell the record was damaged.
+    ExperimentPlan plan;
+    plan.add(tinyProfile("RN"), tinyConfig(), OrgKind::MemorySide);
+    TempDir dir("sac_cache_flipped_string");
+    {
+        ResultCache cache(dir.path);
+        runWithCache(plan, cache);
+    }
+    ResultCache cache(dir.path);
+    rewriteInPlace(cache.entryPath(plan[0]), "\"benchmark\":\"RN\"",
+                   "\"benchmark\":\"R\xb1\"");
+    EXPECT_EQ(cache.verify().rejected, 1u);
+    EXPECT_FALSE(cache.lookup(plan[0]).has_value());
+    EXPECT_EQ(cache.stats().rejected, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(ResultCache, ConcurrentWritersDoNotCorruptEntries)
@@ -613,6 +654,28 @@ TEST(ResultCacheWarm, DamagedEntriesAfterAWarmHitAreRejected)
     EXPECT_GE(cache.stats().rejected, before.rejected + 1);
     EXPECT_EQ(cache.stats().stores, before.stores + 2);
     EXPECT_EQ(cache.verify().rejected, 0u); // both re-persisted
+}
+
+TEST(ResultCacheWarm, FlippedStringByteAfterAWarmHitIsRejected)
+{
+    TempDir dir("sac_cache_warm_flipped_string");
+    ResultCache cache(dir.path);
+    std::string reference;
+    const ExperimentPlan plan = warmPlan(cache, &reference);
+
+    // An in-place flip inside a string value changes the file's
+    // identity, so the tier falls back to the disk read, whose
+    // checksum rejects the entry.
+    nextTimestampTick();
+    rewriteInPlace(cache.entryPath(plan[1]), "\"benchmark\":\"GEMM\"",
+                   "\"benchmark\":\"G\xb1MM\"");
+    const auto before = cache.stats();
+    EXPECT_FALSE(cache.lookup(plan[1]).has_value());
+    EXPECT_EQ(cache.stats().rejected, before.rejected + 1);
+    EXPECT_EQ(cache.stats().misses, before.misses + 1);
+    EXPECT_EQ(cache.warmEntries(), plan.size() - 1);
+    EXPECT_TRUE(cache.lookup(plan[0]).has_value());
+    EXPECT_EQ(cache.stats().warmHits, before.warmHits + 1);
 }
 
 TEST(ResultCacheWarm, DeletedEntryAfterAWarmHitIsAMiss)

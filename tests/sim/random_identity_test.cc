@@ -13,6 +13,9 @@
  * with idle-heavy ones (huge gaps), so runs cross the scheduler's
  * dense/sparse regime boundary in both directions.
  *
+ * Later cases also draw non-integral bandwidths, which exercise the
+ * fractional part of the integer bandwidth credit.
+ *
  * Seeds are fixed: a failure is reproducible by its case index alone.
  */
 
@@ -76,36 +79,60 @@ randomProfile(Rng &rng)
     return p;
 }
 
+/**
+ * Runs random case @p i event-driven and with the reference loop and
+ * requires identical results. With @p fractional_bw the case also
+ * redraws every bandwidth as a non-integral rate, after the shape
+ * draws, so the shapes of the integral cases never move.
+ */
+void
+expectCaseIdentical(int i, bool fractional_bw)
+{
+    Rng rng(0x5ac0 + static_cast<std::uint64_t>(i));
+
+    ExperimentJob job;
+    job.profile = randomProfile(rng);
+    job.config = GpuConfig::scaled(8);
+    job.config.warpsPerCluster = 2 + static_cast<int>(rng.nextBounded(7));
+    job.config.sac.profileWindow = 256 + rng.nextBounded(512);
+    job.config.sac.profileMinRequests = 200;
+    const auto orgs = ExperimentPlan::allOrganizations();
+    job.org = orgs[static_cast<std::size_t>(rng.nextBounded(orgs.size()))];
+    job.telemetry.epoch = 256;
+    job.telemetry.events = true;
+    if (fractional_bw) {
+        // Rates a double budget cannot refill exactly; the integer
+        // credit must still tick identically at any cycle.
+        job.config.xbarPortBw = uniform(rng, 64.0, 300.0);
+        job.config.sliceBw = uniform(rng, 64.0, 300.0);
+        job.config.dramChannelBw = uniform(rng, 20.0, 80.0);
+        job.config.interChipBw = uniform(rng, 8.0, 200.0);
+        job.config.validate();
+    }
+
+    job.fastForward = true;
+    const RunRecord ed = ExperimentEngine::runJob(job);
+    job.fastForward = false;
+    const RunRecord ref = ExperimentEngine::runJob(job);
+
+    EXPECT_EQ(ed.result.status, RunStatus::Ok) << "case " << i;
+    EXPECT_EQ(result_io::toJson(ed.result), result_io::toJson(ref.result))
+        << "case " << i << ": " << job.profile.name << "/"
+        << toString(job.org) << " warps=" << job.config.warpsPerCluster
+        << " interChipBw=" << job.config.interChipBw;
+}
+
 TEST(RandomIdentity, RandomShapesAreBitIdenticalToReference)
 {
-    constexpr int cases = 8;
-    for (int i = 0; i < cases; ++i) {
-        Rng rng(0x5ac0 + static_cast<std::uint64_t>(i));
+    for (int i = 0; i < 8; ++i)
+        expectCaseIdentical(i, false);
+}
 
-        ExperimentJob job;
-        job.profile = randomProfile(rng);
-        job.config = GpuConfig::scaled(8);
-        job.config.warpsPerCluster =
-            2 + static_cast<int>(rng.nextBounded(7));
-        job.config.sac.profileWindow = 256 + rng.nextBounded(512);
-        job.config.sac.profileMinRequests = 200;
-        const auto orgs = ExperimentPlan::allOrganizations();
-        job.org = orgs[static_cast<std::size_t>(
-            rng.nextBounded(orgs.size()))];
-        job.telemetry.epoch = 256;
-        job.telemetry.events = true;
-
-        job.fastForward = true;
-        const RunRecord ed = ExperimentEngine::runJob(job);
-        job.fastForward = false;
-        const RunRecord ref = ExperimentEngine::runJob(job);
-
-        EXPECT_EQ(result_io::toJson(ed.result),
-                  result_io::toJson(ref.result))
-            << "case " << i << ": " << job.profile.name << "/"
-            << toString(job.org) << " warps="
-            << job.config.warpsPerCluster;
-    }
+TEST(RandomIdentity, NonIntegralBandwidthsAreBitIdenticalToReference)
+{
+    // Cases 8 and up: fresh seeds, so cases 0-7 stay as they were.
+    for (int i = 8; i < 14; ++i)
+        expectCaseIdentical(i, true);
 }
 
 TEST(RandomIdentity, RegimeBoundaryIsCrossedAndInvisible)

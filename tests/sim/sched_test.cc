@@ -3,8 +3,8 @@
  * Unit tests for the sim::Component scheduling core: WakeQueue heap
  * semantics (decrease-key, duplicate-due ordinal ordering, lazy
  * re-key) and the Scheduler behaviours the byte-identity argument
- * rests on (in-cycle ordinal order, same-cycle wake clamping, idle
- * refill replay, clock-jump exclusion, wakeAll).
+ * rests on (in-cycle ordinal order, same-cycle wake clamping, the
+ * clock-jump re-key, the ordinal-order assert, wakeAll).
  */
 
 #include <gtest/gtest.h>
@@ -12,13 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "sim/sched.hh"
 
 namespace sac {
 namespace sim {
 namespace {
 
-/** Scriptable component recording every tick and replay it receives. */
+/** Scriptable component recording every tick it receives. */
 class FakeComponent final : public Component
 {
   public:
@@ -41,12 +42,9 @@ class FakeComponent final : public Component
         return nextEvent >= now ? nextEvent : now;
     }
 
-    void skipIdleCycles(Cycle cycles) override { skipped += cycles; }
-
     /** What nextEventCycle reports after the next tick. */
     Cycle nextEvent = cycleNever;
     std::vector<Cycle> ticks;
-    Cycle skipped = 0;
     std::vector<std::string> *log = nullptr;
 
   private:
@@ -188,72 +186,42 @@ TEST(SchedulerTest, SameCycleWakeFromLaterOrdinalClampsToNextCycle)
     EXPECT_EQ(log, (std::vector<std::string>{"a@4"}));
 }
 
-TEST(SchedulerTest, IdleGapsReplayPerComponent)
+/** Component "w": wakes ordinal 1 at the cycle it ticks in. */
+class StaleKeyWaker final : public Component
 {
-    Scheduler s;
-    FakeComponent a("a");
-    s.add(a);
+  public:
+    StaleKeyWaker(Scheduler &s, std::vector<std::string> &log)
+        : s_(s), log_(log)
+    {
+    }
+    const char *name() const override { return "w"; }
+    void
+    tick(Cycle now) override
+    {
+        log_.push_back("w@" + std::to_string(now));
+        s_.wake(1, now);
+    }
+    Cycle
+    nextEventCycle(Cycle now) const override
+    {
+        return nextEvent >= now ? nextEvent : now;
+    }
+    Cycle nextEvent = cycleNever;
 
-    a.nextEvent = 10;
-    s.runCycle(0); // ticked at 0, next due 10
-    s.runCycle(10);
-    // Cycles 1..9 passed without a tick: the replay must hand the
-    // component exactly that gap before its cycle-10 tick.
-    EXPECT_EQ(a.skipped, 9u);
-    EXPECT_EQ(a.ticks, (std::vector<Cycle>{0, 10}));
-}
-
-TEST(SchedulerTest, ClockJumpIsExcludedFromReplay)
-{
-    Scheduler s;
-    FakeComponent a("a");
-    s.add(a);
-
-    a.nextEvent = 20;
-    s.runCycle(0);
-    // The reference loop also jumps these cycles without refills
-    // (kernel-boundary stall): they must not count as idle gap.
-    s.onClockJump(1, 16);
-    s.runCycle(20);
-    EXPECT_EQ(a.skipped, 4u); // cycles 16..19 only
-}
+  private:
+    Scheduler &s_;
+    std::vector<std::string> &log_;
+};
 
 TEST(SchedulerTest, ClockJumpRestoresOrdinalOrderForStaleKeys)
 {
     // A later ordinal keyed before a clock jump must not tick ahead
     // of an earlier ordinal at the landing cycle. Here "b" (ordinal
     // 1) is keyed at 5 and the jump lands at 20: popped by stale key
-    // it would tick first, then the waker's same-cycle push (legal:
-    // 0 < 1) would make it due at 20 again and tick it twice.
-    class Waker final : public Component
-    {
-      public:
-        Waker(Scheduler &s, std::vector<std::string> &log)
-            : s_(s), log_(log)
-        {
-        }
-        const char *name() const override { return "w"; }
-        void
-        tick(Cycle now) override
-        {
-            log_.push_back("w@" + std::to_string(now));
-            s_.wake(1, now);
-        }
-        Cycle
-        nextEventCycle(Cycle now) const override
-        {
-            return nextEvent >= now ? nextEvent : now;
-        }
-        Cycle nextEvent = cycleNever;
-
-      private:
-        Scheduler &s_;
-        std::vector<std::string> &log_;
-    };
-
+    // it would tick ahead of "w" (see the next test).
     Scheduler s;
     std::vector<std::string> log;
-    Waker w(s, log);
+    StaleKeyWaker w(s, log);
     FakeComponent b("b");
     b.log = &log;
     s.add(w);
@@ -265,11 +233,41 @@ TEST(SchedulerTest, ClockJumpRestoresOrdinalOrderForStaleKeys)
     ASSERT_FALSE(s.denseRegime());
     EXPECT_EQ(s.queue().keyOf(1), 5u);
 
-    s.onClockJump(1, 20);
+    s.onClockJump(20);
     EXPECT_EQ(s.queue().keyOf(1), 20u);
     log.clear();
     EXPECT_NO_THROW(s.runCycle(20));
     EXPECT_EQ(log, (std::vector<std::string>{"w@20", "b@20"}));
+}
+
+TEST(SchedulerTest, StaleKeysWithoutClockJumpTripTheOrdinalAssert)
+{
+    // The same stale key as above, but the jump is not reported: the
+    // heap pops "b" (ordinal 1, key 5) at cycle 20 ahead of "w"
+    // (ordinal 0, key 20). The scheduler must refuse to tick "w"
+    // after "b" in one cycle rather than run the phases out of order.
+    Scheduler s;
+    std::vector<std::string> log;
+    StaleKeyWaker w(s, log);
+    FakeComponent b("b");
+    b.log = &log;
+    s.add(w);
+    s.add(b);
+
+    w.nextEvent = 20;
+    b.nextEvent = 5;
+    s.runCycle(0);
+    ASSERT_FALSE(s.denseRegime());
+    log.clear();
+    try {
+        s.runCycle(20);
+        FAIL() << "out-of-order tick went undetected";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("out of ordinal order"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(log, (std::vector<std::string>{"b@20"}));
 }
 
 TEST(SchedulerTest, WakeAllMakesEveryComponentDue)

@@ -29,6 +29,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -61,8 +62,9 @@ struct Options
     double inputScale = 1.0;
     std::string coherence = "sw";
     unsigned sectors = 1;
-    double interChipBw = 0.0;    // 0 = config default
-    Cycle occupancyInterval = 0; // 0 = config default (2048)
+    // Unset = config default; a given value always reaches validate().
+    std::optional<double> interChipBw;
+    std::optional<Cycle> occupancyInterval;
     unsigned jobs = 1;
     std::string jsonPath;
     bool stats = false;
@@ -115,15 +117,21 @@ usage(int code)
         "  --input-scale F        multiply the data set (Fig. 13 axis)\n"
         "  --coherence sw|hw      LLC coherence (default sw)\n"
         "  --sectors N            sectors per line: 1|2|4 (default 1)\n"
-        "  --interchip-bw GBPS    per-chip inter-chip bandwidth "
-        "override\n"
+        "  --interchip-bw B       per-chip inter-chip bandwidth "
+        "override,\n"
+        "                         bytes/cycle in [1e-6, 1e9]\n"
         "  --occupancy-interval N cycles between Fig. 9 LLC occupancy\n"
         "                         samples (default 2048)\n"
         "  --apw N                accesses per warp per kernel "
         "override\n"
         "  --record FILE          record the generated trace to FILE\n"
         "  --trace FILE           replay FILE instead of a synthetic "
-        "workload\n"
+        "workload;\n"
+        "                         --benchmark and --apw still give "
+        "the\n"
+        "                         kernel list, records are labelled "
+        "by\n"
+        "                         FILE's stem\n"
         "  --stats                dump the full per-chip stats tree\n"
         "  --timeline FILE        write epoch-sampled timelines "
         "(sac.timeline.v1 JSON)\n"
@@ -472,10 +480,10 @@ run(const Options &o)
         o.coherence == "hw" ? CoherenceKind::Hardware
                             : CoherenceKind::Software;
     cfg.sectorsPerLine = o.sectors;
-    if (o.interChipBw > 0.0)
-        cfg.interChipBw = o.interChipBw;
-    if (o.occupancyInterval > 0)
-        cfg.occupancyInterval = o.occupancyInterval;
+    if (o.interChipBw)
+        cfg.interChipBw = *o.interChipBw;
+    if (o.occupancyInterval)
+        cfg.occupancyInterval = *o.occupancyInterval;
     cfg.validate();
 
     std::optional<Scenario> scenario;
@@ -534,8 +542,13 @@ run(const Options &o)
             const auto t0 = std::chrono::steady_clock::now();
             RunRecord rec;
             rec.jobIndex = records.size();
-            rec.label = profile.name + std::string("/") + toString(kind);
-            rec.benchmark = profile.name;
+            // A replay is named after its trace, not the profile that
+            // only supplies its kernel list.
+            rec.benchmark =
+                o.tracePath.empty()
+                    ? profile.name
+                    : std::filesystem::path(o.tracePath).stem().string();
+            rec.label = rec.benchmark + "/" + toString(kind);
             rec.seed = o.seed;
             rec.result = runOne(o, cfg, profile, kind, dump);
             rec.wallMs = std::chrono::duration<double, std::milli>(
