@@ -24,23 +24,10 @@ MshrFile::newTarget(const Packet &pkt)
     return i;
 }
 
-void
-MshrFile::release(const Chain &chain, std::vector<Packet> &out)
-{
-    std::uint32_t i = chain.head;
-    while (i != none) {
-        Target &t = pool[i];
-        out.push_back(t.pkt);
-        const std::uint32_t next = t.next;
-        t.next = freeHead;
-        freeHead = i;
-        i = next;
-    }
-}
-
 MshrFile::Outcome
 MshrFile::allocate(const Packet &pkt)
 {
+    SAC_ASSERT(!walking_, "MSHR allocation from inside a fill walk");
     const auto k = key(pkt.lineAddr, pkt.sector);
     if (Chain *chain = table.find(k)) {
         const std::uint32_t i = newTarget(pkt);
@@ -64,20 +51,11 @@ MshrFile::has(Addr line_addr, unsigned sector) const
 }
 
 void
-MshrFile::complete(Addr line_addr, unsigned sector, std::vector<Packet> &out)
-{
-    const auto k = key(line_addr, sector);
-    const Chain *chain = table.find(k);
-    if (!chain)
-        return;
-    release(*chain, out);
-    table.erase(k);
-}
-
-void
 MshrFile::drainAll(std::vector<Packet> &out)
 {
-    table.forEach([&](std::uint64_t, Chain &c) { release(c, out); });
+    table.forEach([&](std::uint64_t, Chain &c) {
+        release(c.head, [&out](const Packet &pkt) { out.push_back(pkt); });
+    });
     table.clear();
     pool.clear();
     freeHead = none;

@@ -12,9 +12,9 @@
  * per-file target pool: 64-byte records of a packet and the link to
  * the next target of its entry. Freed records go on a LIFO free list,
  * so the pool stops growing at the file's high-water target count and
- * a new target reuses the record freed last. complete()/drainAll()
- * append into a caller-owned buffer instead of returning a fresh
- * vector per fill.
+ * a new target reuses the record freed last. A fill walks its chain
+ * in place: complete() hands each target packet to a callback while
+ * freeing its record, so no packet is copied on the way to its waiter.
  */
 
 #ifndef SAC_CACHE_MSHR_HH
@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/probe_map.hh"
@@ -50,13 +51,36 @@ class MshrFile
     bool has(Addr line_addr, unsigned sector) const;
 
     /**
-     * Completes the miss, appending all coalesced target packets to
-     * @p out (which is not cleared first) in allocation order and
-     * freeing the entry.
-     * Appends nothing if no entry exists (e.g., a bulk flush already
-     * drained it).
+     * Completes the miss: erases the entry, then calls
+     * @p fn(const Packet &) on each coalesced target in allocation
+     * order, freeing each target's record as it goes. Returns the
+     * number of targets visited; 0 if no entry exists (e.g., a bulk
+     * flush already drained it). @p fn must not allocate into this
+     * file: the packet it sees lives in a record already freed.
      */
-    void complete(Addr line_addr, unsigned sector, std::vector<Packet> &out);
+    template <typename Fn>
+    std::size_t
+    complete(Addr line_addr, unsigned sector, Fn &&fn)
+    {
+        const auto k = key(line_addr, sector);
+        const Chain *chain = table.find(k);
+        if (!chain)
+            return 0;
+        const std::uint32_t head = chain->head;
+        table.erase(k);
+        return release(head, std::forward<Fn>(fn));
+    }
+
+    /**
+     * complete() appending the targets to @p out (which is not cleared
+     * first).
+     */
+    void
+    complete(Addr line_addr, unsigned sector, std::vector<Packet> &out)
+    {
+        complete(line_addr, sector,
+                 [&out](const Packet &pkt) { out.push_back(pkt); });
+    }
 
     /**
      * Drops every entry, appending all pending targets to @p out:
@@ -91,8 +115,29 @@ class MshrFile
 
     /** Stores @p pkt in a free (or new) pool record; returns its index. */
     std::uint32_t newTarget(const Packet &pkt);
-    /** Appends @p chain's packets to @p out and frees its records. */
-    void release(const Chain &chain, std::vector<Packet> &out);
+
+    /**
+     * Frees the chain starting at pool index @p head, record by
+     * record in chain order, handing each packet to @p fn right after
+     * its record joins the free list. Returns the chain's length.
+     */
+    template <typename Fn>
+    std::size_t
+    release(std::uint32_t head, Fn &&fn)
+    {
+        walking_ = true;
+        std::size_t n = 0;
+        for (std::uint32_t i = head; i != none; ++n) {
+            Target &t = pool[i];
+            const std::uint32_t next = t.next;
+            t.next = freeHead;
+            freeHead = i;
+            fn(std::as_const(t.pkt));
+            i = next;
+        }
+        walking_ = false;
+        return n;
+    }
 
     static std::uint64_t
     key(Addr line_addr, unsigned sector)
@@ -105,6 +150,8 @@ class MshrFile
     std::vector<Target> pool;
     /** Head of the free list threaded through Target::next. */
     std::uint32_t freeHead = none;
+    /** A release() is handing out packets (allocate() must not run). */
+    bool walking_ = false;
 };
 
 } // namespace sac

@@ -25,7 +25,7 @@ SmCluster::beginKernel(std::uint64_t accesses_per_warp, Cycle now)
 {
     SAC_ASSERT(l1Mshrs.inUse() == 0 && outstandingWrites == 0,
                "kernel launch with outstanding memory traffic");
-    sched.reset();
+    sched.reset(now);
     mshrParked_.clear();
     writeParked_.clear();
     retiredWarps = 0;
@@ -224,13 +224,7 @@ SmCluster::deliver(const Packet &resp, Cycle now)
     // wake every warp that coalesced onto this line.
     l1.insert(resp.lineAddr, resp.sector, resp.homeChip, false,
               partitionLocal);
-    fillTargets_.clear();
-    l1Mshrs.complete(resp.lineAddr, resp.sector, fillTargets_);
-    SAC_ASSERT(!fillTargets_.empty(), "fill with no waiting warps");
-    // complete() freed one MSHR entry: hand it to the longest-parked
-    // warp (its cached access may even hit the L1 or merge by now).
-    resumeParked(mshrParked_, now);
-    for (const auto &t : fillTargets_) {
+    const auto wake = [&](const Packet &t) {
         WarpCtx &warp = warps[static_cast<std::size_t>(t.warp)];
         SAC_ASSERT(warp.inFlight > 0, "fill for a warp with no loads");
         --warp.inFlight;
@@ -245,7 +239,12 @@ SmCluster::deliver(const Packet &resp, Cycle now)
             warp.blocked = false;
             sched.wake(t.warp, now + warp.pendingGap + 1);
         }
-    }
+    };
+    const auto woken = l1Mshrs.complete(resp.lineAddr, resp.sector, wake);
+    SAC_ASSERT(woken > 0, "fill with no waiting warps");
+    // complete() freed one MSHR entry: hand it to the longest-parked
+    // warp (its cached access may even hit the L1 or merge by now).
+    resumeParked(mshrParked_, now);
 }
 
 bool

@@ -18,8 +18,8 @@
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
-#include "common/ring.hh"
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "gpu/kernel.hh"
 #include "gpu/warp.hh"
@@ -113,7 +113,8 @@ class SmCluster : public sim::Component
      * and the responses that trigger deliver() are response-port
      * events, so sleeping through them is impossible.
      */
-    Cycle issueEventCycle(Cycle now) const
+    Cycle
+    issueEventCycle(Cycle now) const
     {
         if (sched.hasReady())
             return std::max(now, pausedUntil);
@@ -132,7 +133,8 @@ class SmCluster : public sim::Component
 
     ChipId chip() const { return chip_; }
     ClusterId id() const { return id_; }
-    std::size_t outstanding() const
+    std::size_t
+    outstanding() const
     {
         return l1Mshrs.inUse() + static_cast<std::size_t>(outstandingWrites);
     }
@@ -167,9 +169,6 @@ class SmCluster : public sim::Component
     // starved (see issueEventCycle()).
     Ring<int> mshrParked_;
     Ring<int> writeParked_;
-
-    /** Scratch for l1Mshrs.complete() targets, reused across fills. */
-    std::vector<Packet> fillTargets_;
 
     int outstandingWrites = 0;
     int retiredWarps = 0;

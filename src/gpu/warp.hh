@@ -47,15 +47,28 @@ struct WarpCtx
 
 /**
  * Tracks which warps are ready to issue at any cycle. Warps are
- * `wake()`d with a future ready time and surface through `pop()` once
- * that time arrives, in GTO order.
+ * `wake()`d with a future ready time and surface through advance()
+ * once that time arrives, in GTO order.
+ *
+ * Sleeping warps live on a calendar: a 64-slot wheel whose slot
+ * `t % 64` holds one bit per warp due at cycle t, plus a min-heap of
+ * (time, warp) for wakes beyond the wheel's horizon. Every wheel entry
+ * lies in [cursor, cursor + 64) and every overflow entry at or after
+ * cursor + 64; the cursor only moves forward, and entries move from
+ * the heap into the wheel as the horizon reaches them. Due warps
+ * surface slot by slot in time order and, within a slot, in ascending
+ * warp id: exactly the (time, warp) order of one heap over all wakes.
  */
 class WarpScheduler
 {
   public:
     explicit WarpScheduler(int num_warps);
 
-    /** Schedules @p warp to become ready at @p at. */
+    /**
+     * Schedules @p warp to become ready at @p at, which must not lie
+     * before the cycle of the last advance() that surfaced warps (or
+     * of the last reset()).
+     */
     void wake(int warp, Cycle at);
 
     /**
@@ -66,7 +79,7 @@ class WarpScheduler
     void
     advance(Cycle now)
     {
-        if (!pending.empty() && pending.top().first <= now)
+        if (nextDue_ <= now)
             surfaceDue(now);
     }
 
@@ -85,8 +98,8 @@ class WarpScheduler
     /** Re-inserts @p warp at the front (issue refused, retry next cycle). */
     void defer(int warp);
 
-    /** Drops all state (kernel boundary). */
-    void reset();
+    /** Drops all state (kernel boundary at @p now). */
+    void reset(Cycle now);
 
     std::size_t readyCount() const { return ready.size(); }
 
@@ -94,24 +107,40 @@ class WarpScheduler
      * Earliest wake time among sleeping warps; cycleNever when none
      * are pending. advance() at (or past) that cycle surfaces the
      * same warps in the same order as per-cycle advancing would,
-     * because the pending heap pops in (time, warp) order either way.
+     * because the calendar surfaces in (time, warp) order either way.
      */
-    Cycle nextPendingCycle() const
-    {
-        return pending.empty() ? cycleNever : pending.top().first;
-    }
+    Cycle nextPendingCycle() const { return nextDue_; }
 
   private:
     using Pending = std::pair<Cycle, int>;
+    static constexpr unsigned wheelSlots = 64;
 
-    /** Out-of-line slow path of advance(): pops every due warp. */
+    /** Out-of-line slow path of advance(): surfaces every due warp. */
     void surfaceDue(Cycle now);
+    /** Moves the cursor to @p at and pulls the overflow entries the
+     *  new horizon covers into the wheel. */
+    void moveCursor(Cycle at);
+    /** Sets @p warp's bit in the wheel slot of @p at. */
+    void setWheel(int warp, Cycle at);
+    /** Earliest wake on the calendar, cycleNever when it is empty. */
+    Cycle earliest() const;
 
     int numWarps;
+    /** 64-bit words per wheel slot: ceil(numWarps / 64). */
+    std::size_t words_;
     Ring<int> ready;
-    std::priority_queue<Pending, std::vector<Pending>,
-                        std::greater<Pending>> pending;
     std::vector<char> inReady;
+    /** wheelSlots x words_ warp bitsets, slot-major. */
+    std::vector<std::uint64_t> wheel_;
+    /** Bit s set: wheel slot s holds at least one warp. */
+    std::uint64_t occupied_ = 0;
+    /** Lower bound of every pending wake (see the class comment). */
+    Cycle cursor_ = 0;
+    /** Cached earliest(): advance()'s inline test. */
+    Cycle nextDue_ = cycleNever;
+    /** Wakes at or after cursor_ + wheelSlots, earliest first. */
+    std::priority_queue<Pending, std::vector<Pending>,
+                        std::greater<Pending>> overflow_;
 };
 
 } // namespace sac

@@ -96,14 +96,13 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
         // without an entry for the line needs the tag walk.
         const bool lookup =
             head->kind == PacketKind::Request && !head->bypassLlc;
-        if (lookup && homeMshrs.full() &&
-            !homeMshrs.has(head->lineAddr, head->sector) &&
-            !array.probe(head->lineAddr, head->sector)) {
+        if (lookup && stalled(vcStall_, homeMshrs, *head)) {
             ++stats_.stallsMshrFull;
             break;
         }
         Packet pkt = *head;
         vcQ.popHead(now);
+        vcStall_ = noStall;
         if (pkt.bypassLlc) {
             // SAC bypass path: straight to the memory-controller queue,
             // shared with local misses (Section 3.1). No array access.
@@ -140,15 +139,29 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
                    "unexpected packet kind in slice request queue");
         // Head-of-line stall when a fresh miss cannot get an MSHR
         // (probe last, as on the home channel).
-        if (mshrs.full() && !mshrs.has(head->lineAddr, head->sector) &&
-            !array.probe(head->lineAddr, head->sector)) {
+        if (stalled(inStall_, mshrs, *head)) {
             ++stats_.stallsMshrFull;
             break;
         }
         Packet pkt = *head;
         inQ.popHead(now);
+        inStall_ = noStall;
         processRequest(pkt, now, env);
     }
+}
+
+bool
+LlcSlice::stalled(std::uint64_t &memo, const MshrFile &file,
+                  const Packet &head)
+{
+    if (memo == fillEpoch_)
+        return true;
+    if (file.full() && !file.has(head.lineAddr, head.sector) &&
+        !array.probe(head.lineAddr, head.sector)) {
+        memo = fillEpoch_;
+        return true;
+    }
+    return false;
 }
 
 Cycle
@@ -312,13 +325,10 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
     if (pkt.homeChip != chip_)
         env.directoryFill(pkt.lineAddr, chip_);
 
-    fillTargets_.clear();
-    if (home_level) {
-        homeMshrs.complete(pkt.lineAddr, pkt.sector, fillTargets_);
-    } else {
-        mshrs.complete(pkt.lineAddr, pkt.sector, fillTargets_);
-    }
-    for (auto &t : fillTargets_) {
+    // A fill is the only event that can lift a head-of-line MSHR
+    // stall (see fillEpoch_).
+    ++fillEpoch_;
+    const auto wake = [&](const Packet &t) {
         Packet resp = t;
         resp.kind = PacketKind::Response;
         resp.dataFromMem = pkt.dataFromMem;
@@ -329,7 +339,7 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
             resp.homeFilled = true;
             resp.bytes = sectorBytes;
             env.sendToChip(t.serveChip, resp);
-            continue;
+            return;
         }
         resp.serveFilled = true;
         if (t.type == AccessType::Write) {
@@ -342,6 +352,11 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
         resp.origin = classifyOrigin(resp.dataFromMem, resp.dataChip,
                                      t.srcChip);
         respond(std::move(resp), env);
+    };
+    if (home_level) {
+        homeMshrs.complete(pkt.lineAddr, pkt.sector, wake);
+    } else {
+        mshrs.complete(pkt.lineAddr, pkt.sector, wake);
     }
 }
 

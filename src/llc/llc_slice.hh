@@ -183,6 +183,16 @@ class LlcSlice : public sim::Component
     void drainMissQ(Cycle now, SliceEnv &env);
     void emitWriteback(Addr line_addr, ChipId home, Cycle now, SliceEnv &env);
     void respond(Packet resp, SliceEnv &env);
+    /**
+     * True when @p head, the ready head of a queue whose misses use
+     * @p file, must stall: the file is full, holds no entry to merge
+     * into, and the array cannot serve it. A stall is remembered in
+     * @p memo as the fill epoch it was seen in and holds while no fill
+     * happened since (see fillEpoch_); the caller clears @p memo when
+     * it pops the head.
+     */
+    bool stalled(std::uint64_t &memo, const MshrFile &file,
+                 const Packet &head);
 
     ChipId chip_;
     int index_;
@@ -203,8 +213,6 @@ class LlcSlice : public sim::Component
     Ring<Packet> fillQ;
     /** Primary misses waiting for memory-controller queue space. */
     Ring<Packet> missQ;
-    /** Scratch for MshrFile::complete() targets, reused across fills. */
-    std::vector<Packet> fillTargets_;
     MshrFile mshrs;
     /**
      * Dedicated MSHRs for home-level (atHome) misses. Separate from
@@ -214,6 +222,21 @@ class LlcSlice : public sim::Component
      */
     MshrFile homeMshrs;
     SetAssocCache array;
+
+    /**
+     * Head-of-line stall memo. A stalled head stays stalled until a
+     * fill: only processFill() frees an MSHR entry or installs a line;
+     * no other event adds an entry to a full file (the stalled head is
+     * the only source of new entries on its channel), and
+     * invalidations and flushes only remove lines. So a stall seen at
+     * fill epoch e holds while fillEpoch_ == e and the head is not
+     * popped. inQ's misses use mshrs, vcQ's use homeMshrs.
+     */
+    static constexpr std::uint64_t noStall = ~std::uint64_t(0);
+    std::uint64_t fillEpoch_ = 0;
+    std::uint64_t inStall_ = noStall;
+    std::uint64_t vcStall_ = noStall;
+
     SliceStats stats_;
     /** Per-stream accounting; empty unless setStreamCount() enabled it. */
     std::vector<std::uint64_t> streamReq_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cache/mshr.hh"
+#include "common/log.hh"
 
 namespace sac {
 namespace {
@@ -120,12 +121,22 @@ TEST(Mshr, ReallocateAfterCompleteRecyclesEntries)
     }
 }
 
+/** The warps complete()'s walk visits, in visit order. */
+std::vector<int>
+walk(MshrFile &m, Addr line)
+{
+    std::vector<int> warps;
+    const auto visit = [&](const Packet &p) { warps.push_back(p.warp); };
+    const std::size_t visited = m.complete(line, 0, visit);
+    EXPECT_EQ(visited, warps.size());
+    return warps;
+}
 
 TEST(Mshr, TargetsComeBackInAllocationOrderAcrossMerges)
 {
     // Interleaved merges into three entries, with records freed by
-    // one completion reused by the next merges: each entry still
-    // returns exactly its own targets, oldest first.
+    // one fill walk reused by the next merges: each walk still visits
+    // exactly its entry's targets, oldest first.
     MshrFile m(4);
     m.allocate(pkt(0x100, 0));
     m.allocate(pkt(0x200, 1));
@@ -133,24 +144,14 @@ TEST(Mshr, TargetsComeBackInAllocationOrderAcrossMerges)
     m.allocate(pkt(0x300, 3));
     m.allocate(pkt(0x200, 4));
     m.allocate(pkt(0x100, 5));
-    const auto b = complete(m, 0x200, 0);
-    ASSERT_EQ(b.size(), 2u);
-    EXPECT_EQ(b[0].warp, 1);
-    EXPECT_EQ(b[1].warp, 4);
+    EXPECT_EQ(walk(m, 0x200), (std::vector<int>{1, 4}));
+    EXPECT_FALSE(m.has(0x200, 0));
     m.allocate(pkt(0x300, 6));
     m.allocate(pkt(0x100, 7));
     m.allocate(pkt(0x300, 8));
-    const auto a = complete(m, 0x100, 0);
-    ASSERT_EQ(a.size(), 4u);
-    EXPECT_EQ(a[0].warp, 0);
-    EXPECT_EQ(a[1].warp, 2);
-    EXPECT_EQ(a[2].warp, 5);
-    EXPECT_EQ(a[3].warp, 7);
-    const auto c = complete(m, 0x300, 0);
-    ASSERT_EQ(c.size(), 3u);
-    EXPECT_EQ(c[0].warp, 3);
-    EXPECT_EQ(c[1].warp, 6);
-    EXPECT_EQ(c[2].warp, 8);
+    EXPECT_EQ(walk(m, 0x100), (std::vector<int>{0, 2, 5, 7}));
+    EXPECT_EQ(walk(m, 0x300), (std::vector<int>{3, 6, 8}));
+    EXPECT_TRUE(walk(m, 0x300).empty()); // already completed
     EXPECT_EQ(m.inUse(), 0u);
 }
 
@@ -193,20 +194,19 @@ TEST(Mshr, DrainAllReturnsEveryTargetOfEveryEntry)
 TEST(Mshr, SteadyOccupancyDoesNotGrowTheTargetPool)
 {
     // 10k allocate/complete cycles with the file held full and one to
-    // three targets per entry: the pool stops at the live high-water
-    // mark (8 entries x 3 targets) and never grows past it.
+    // three targets per entry: the fill walk frees every record, so the
+    // pool stops at the live high-water mark (8 entries x 3 targets)
+    // and never grows past it.
     constexpr std::size_t entries = 8;
     MshrFile m(entries);
     std::deque<Addr> live;
-    std::vector<Packet> out;
     Addr next = 0x1000;
     std::size_t warmPool = 0;
+    const auto ignore = [](const Packet &) {};
     for (int cycle = 0; cycle < 10000; ++cycle) {
         if (live.size() == entries) {
-            out.clear();
-            m.complete(live.front(), 0, out);
-            ASSERT_EQ(out.size(), 1u + static_cast<std::size_t>(
-                                           live.front() / 0x80 % 3));
+            ASSERT_EQ(m.complete(live.front(), 0, ignore),
+                      1u + static_cast<std::size_t>(live.front() / 0x80 % 3));
             live.pop_front();
         }
         const Addr line = next;
@@ -223,6 +223,46 @@ TEST(Mshr, SteadyOccupancyDoesNotGrowTheTargetPool)
             ASSERT_EQ(m.targetPoolSize(), warmPool) << "cycle " << cycle;
         }
     }
+}
+
+TEST(Mshr, VectorCompleteReturnsTheWalkedPackets)
+{
+    // Two files fed the same misses: the vector overload appends the
+    // very packets, in the very order, that the walk hands out.
+    MshrFile a(4);
+    MshrFile b(4);
+    for (int i = 0; i < 12; ++i) {
+        Packet p = pkt(0x100 * static_cast<Addr>(1 + i % 3), i, i % 2);
+        p.id = 1000 + static_cast<std::uint64_t>(i);
+        p.issued = static_cast<Cycle>(7 * i);
+        a.allocate(p);
+        b.allocate(p);
+    }
+    for (Addr line : {0x200, 0x100, 0x300}) {
+        for (unsigned sector : {1u, 0u}) {
+            std::vector<Packet> walked;
+            const auto keep = [&](const Packet &p) { walked.push_back(p); };
+            a.complete(line, sector, keep);
+            std::vector<Packet> appended;
+            b.complete(line, sector, appended);
+            ASSERT_EQ(walked.size(), appended.size());
+            for (std::size_t i = 0; i < walked.size(); ++i) {
+                EXPECT_EQ(walked[i].id, appended[i].id);
+                EXPECT_EQ(walked[i].warp, appended[i].warp);
+                EXPECT_EQ(walked[i].issued, appended[i].issued);
+            }
+        }
+    }
+    EXPECT_EQ(a.inUse(), 0u);
+    EXPECT_EQ(b.inUse(), 0u);
+}
+
+TEST(Mshr, AllocatingFromInsideAWalkPanics)
+{
+    MshrFile m(4);
+    m.allocate(pkt(0x100, 0));
+    const auto reenter = [&](const Packet &) { m.allocate(pkt(0x200, 1)); };
+    EXPECT_THROW(m.complete(0x100, 0, reenter), PanicError);
 }
 
 } // namespace

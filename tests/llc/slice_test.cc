@@ -16,21 +16,21 @@ class MockEnv : public SliceEnv
   public:
     bool memCanAccept(Addr) const override { return memAccepts; }
     void memPush(const Packet &pkt) override { toMem.push_back(pkt); }
-    void sendToChip(ChipId dst, Packet pkt) override
+    void
+    sendToChip(ChipId dst, Packet pkt) override
     {
         pkt.nocDst = dst;
         toIcn.push_back(pkt);
     }
     void respondCluster(Packet pkt) override { toCluster.push_back(pkt); }
-    void directoryFill(Addr a, ChipId c) override
-    {
-        fills.emplace_back(a, c);
-    }
-    void directoryEvict(Addr a, ChipId c) override
+    void directoryFill(Addr a, ChipId c) override { fills.emplace_back(a, c); }
+    void
+    directoryEvict(Addr a, ChipId c) override
     {
         evicts.emplace_back(a, c);
     }
-    void coherentWrite(const Packet &pkt, ChipId writer) override
+    void
+    coherentWrite(const Packet &pkt, ChipId writer) override
     {
         writes.emplace_back(pkt.lineAddr, writer);
     }
@@ -303,6 +303,117 @@ TEST(LlcSlice, ReplicaFillRegistersInDirectory)
     // Response origin is the remote memory partition.
     ASSERT_EQ(env.toCluster.size(), 1u);
     EXPECT_EQ(env.toCluster[0].origin, ResponseOrigin::RemoteMem);
+}
+
+/** A memory fill answering the fetch @p fetch. */
+Packet
+memFill(Packet fetch, ChipId data_chip)
+{
+    fetch.kind = PacketKind::Response;
+    fetch.dataFromMem = true;
+    fetch.dataChip = data_chip;
+    return fetch;
+}
+
+TEST(LlcSlice, StalledHeadCountsOneStallPerTickedCycle)
+{
+    // Four misses fill the file and the fifth stalls at the head. No
+    // fill arrives, so every later tick is one more stalled cycle.
+    MockEnv env;
+    LlcSlice slice(cfg(), 0, 0); // 4 MSHRs
+    for (int i = 0; i < 5; ++i)
+        slice.inQueue().push(localRead(0x1000 + 0x80ull * i, 0), 0);
+    runTicks(slice, env, 0, 10);
+    ASSERT_EQ(env.toMem.size(), 4u);
+    ASSERT_EQ(slice.inQueued(), 1u);
+    const std::uint64_t before = slice.stats().stallsMshrFull;
+    ASSERT_GT(before, 0u);
+    for (Cycle t = 10; t < 60; ++t) {
+        slice.tick(t, env);
+        ASSERT_EQ(slice.stats().stallsMshrFull, before + (t - 9));
+    }
+    EXPECT_EQ(slice.inQueued(), 1u);
+}
+
+TEST(LlcSlice, HomeChannelStallCountsOneStallPerTickedCycle)
+{
+    // The same on the home virtual channel, against the home file.
+    MockEnv env;
+    LlcSlice slice(cfg(), 2, 0);
+    for (int i = 0; i < 5; ++i) {
+        Packet p = localRead(0x1000 + 0x80ull * i, 2);
+        p.atHome = true;
+        p.homeLookup = true;
+        slice.vcQueue().push(p, 0);
+    }
+    runTicks(slice, env, 0, 10);
+    ASSERT_EQ(env.toMem.size(), 4u);
+    const std::uint64_t before = slice.stats().stallsMshrFull;
+    ASSERT_GT(before, 0u);
+    runTicks(slice, env, 10, 40);
+    EXPECT_EQ(slice.stats().stallsMshrFull, before + 30);
+}
+
+TEST(LlcSlice, StalledHeadProceedsOnTheTickOfAFillThatFreesAnEntry)
+{
+    MockEnv env;
+    LlcSlice slice(cfg(), 0, 0);
+    for (int i = 0; i < 5; ++i)
+        slice.inQueue().push(localRead(0x1000 + 0x80ull * i, 0), 0);
+    runTicks(slice, env, 0, 10);
+    ASSERT_EQ(env.toMem.size(), 4u);
+    slice.pushFill(memFill(env.toMem[0], 0));
+    const std::uint64_t stalls = slice.stats().stallsMshrFull;
+    slice.tick(10, env);
+    // The fill freed an entry and the head took it in the same tick.
+    EXPECT_EQ(slice.inQueued(), 0u);
+    ASSERT_EQ(env.toMem.size(), 5u);
+    EXPECT_EQ(env.toMem[4].lineAddr, 0x1000u + 0x80 * 4);
+    EXPECT_EQ(slice.stats().stallsMshrFull, stalls);
+}
+
+TEST(LlcSlice, StalledHeadProceedsOnTheTickItsLineIsInstalled)
+{
+    // The home slice (chip 2): four local first-level misses fill the
+    // first-level file, and a fifth, for line X, stalls at the head.
+    // A home-level lookup for X from chip 0 misses on the home
+    // channel; its memory fill installs X but frees only a home-level
+    // entry, so the first-level file stays full. The stalled head must
+    // still see the installed line and hit on that very tick.
+    MockEnv env;
+    LlcSlice slice(cfg(), 2, 0);
+    const auto mine = [](Addr line) {
+        Packet p = localRead(line, 2);
+        p.srcChip = 2;
+        p.serveChip = 2;
+        return p;
+    };
+    const Addr x = 0x9000;
+    for (int i = 0; i < 4; ++i)
+        slice.inQueue().push(mine(0x1000 + 0x80ull * i), 0);
+    slice.inQueue().push(mine(x), 0);
+    runTicks(slice, env, 0, 10);
+    ASSERT_EQ(env.toMem.size(), 4u);
+    ASSERT_EQ(slice.inQueued(), 1u);
+
+    Packet home = localRead(x, 2);
+    home.atHome = true;
+    home.homeLookup = true;
+    home.homeAllocPartition = partitionLocal;
+    slice.vcQueue().push(home, 10);
+    runTicks(slice, env, 10, 20);
+    ASSERT_EQ(env.toMem.size(), 5u);
+    ASSERT_EQ(slice.inQueued(), 1u); // still stalled
+
+    slice.pushFill(memFill(env.toMem[4], 2));
+    slice.tick(20, env);
+    EXPECT_EQ(slice.mshrsInUse(), 4u); // the first-level file stayed full
+    EXPECT_EQ(slice.inQueued(), 0u);
+    ASSERT_EQ(env.toCluster.size(), 1u);
+    EXPECT_EQ(env.toCluster[0].lineAddr, x);
+    EXPECT_EQ(env.toCluster[0].origin, ResponseOrigin::LocalLlc);
+    ASSERT_EQ(env.toIcn.size(), 1u); // the home level answered chip 0
+    EXPECT_TRUE(env.toIcn[0].homeFilled);
 }
 
 } // namespace

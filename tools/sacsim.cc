@@ -27,7 +27,10 @@
  *   sacsim --trace sn.trace --org mem --apw 256
  */
 
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -71,7 +74,7 @@ struct Options
     bool list = false;
     std::string recordPath;
     std::string tracePath;
-    std::uint64_t apw = 0; // 0 = profile default
+    std::optional<std::uint64_t> apw; // unset = profile default
     std::string timelinePath;
     std::string traceEventsPath;
     Cycle epoch = 0; // 0 = default (2048) when --timeline is given
@@ -123,7 +126,8 @@ usage(int code)
         "  --occupancy-interval N cycles between Fig. 9 LLC occupancy\n"
         "                         samples (default 2048)\n"
         "  --apw N                accesses per warp per kernel "
-        "override\n"
+        "override,\n"
+        "                         in [1, 2^30]\n"
         "  --record FILE          record the generated trace to FILE\n"
         "  --trace FILE           replay FILE instead of a synthetic "
         "workload;\n"
@@ -186,6 +190,40 @@ parseOrgList(const std::string &spec)
     return kinds;
 }
 
+/**
+ * Parses the value of integer flag @p flag strictly: decimal digits
+ * only (no sign, no trailing characters), no overflow, and within
+ * [@p lo, @p hi]. Anything else is a fatal error naming the flag.
+ */
+std::uint64_t
+parseUint(const std::string &flag, const std::string &text, std::uint64_t lo,
+          std::uint64_t hi)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc::invalid_argument || ptr != end)
+        fatal(flag, " expects an unsigned integer, got '", text, "'");
+    if (ec == std::errc::result_out_of_range || v < lo || v > hi)
+        fatal(flag, " must be in [", lo, ", ", hi, "], got '", text, "'");
+    return v;
+}
+
+/**
+ * Parses the value of real-valued flag @p flag: the whole text must be
+ * one number (nan and inf parse; the config validation bounds them).
+ */
+double
+parseReal(const std::string &flag, const std::string &text)
+{
+    double v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        fatal(flag, " expects a number, got '", text, "'");
+    return v;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -197,6 +235,10 @@ parse(int argc, char **argv)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
+        const auto uintValue = [&](std::uint64_t lo, std::uint64_t hi) {
+            return parseUint(arg, value(), lo, hi);
+        };
+        const auto realValue = [&] { return parseReal(arg, value()); };
         if (arg == "--help" || arg == "-h")
             usage(0);
         else if (arg == "--list")
@@ -208,25 +250,25 @@ parse(int argc, char **argv)
         else if (arg == "--org")
             o.org = value();
         else if (arg == "--jobs")
-            o.jobs = static_cast<unsigned>(std::stoul(value()));
+            o.jobs = static_cast<unsigned>(uintValue(0, 1024));
         else if (arg == "--json")
             o.jsonPath = value();
         else if (arg == "--scale")
-            o.scale = std::stoi(value());
+            o.scale = static_cast<int>(uintValue(0, INT_MAX));
         else if (arg == "--seed")
-            o.seed = std::stoull(value());
+            o.seed = uintValue(0, UINT64_MAX);
         else if (arg == "--input-scale")
-            o.inputScale = std::stod(value());
+            o.inputScale = realValue();
         else if (arg == "--coherence")
             o.coherence = value();
         else if (arg == "--sectors")
-            o.sectors = static_cast<unsigned>(std::stoul(value()));
+            o.sectors = static_cast<unsigned>(uintValue(0, UINT_MAX));
         else if (arg == "--interchip-bw")
-            o.interChipBw = std::stod(value());
+            o.interChipBw = realValue();
         else if (arg == "--occupancy-interval")
-            o.occupancyInterval = std::stoull(value());
+            o.occupancyInterval = uintValue(0, UINT64_MAX);
         else if (arg == "--apw")
-            o.apw = std::stoull(value());
+            o.apw = uintValue(1, std::uint64_t{1} << 30);
         else if (arg == "--record")
             o.recordPath = value();
         else if (arg == "--trace")
@@ -238,7 +280,7 @@ parse(int argc, char **argv)
         else if (arg == "--trace-events")
             o.traceEventsPath = value();
         else if (arg == "--epoch")
-            o.epoch = std::stoull(value());
+            o.epoch = uintValue(0, UINT64_MAX);
         else if (arg == "--no-fast-forward")
             o.fastForward = false;
         else if (arg == "--resume")
@@ -246,11 +288,11 @@ parse(int argc, char **argv)
         else if (arg == "--cache")
             o.cachePath = value();
         else if (arg == "--max-cycles")
-            o.maxCycles = std::stoull(value());
+            o.maxCycles = uintValue(0, UINT64_MAX);
         else if (arg == "--max-wall-ms")
-            o.maxWallMs = std::stod(value());
+            o.maxWallMs = realValue();
         else if (arg == "--retries")
-            o.retries = std::stoi(value());
+            o.retries = static_cast<int>(uintValue(0, INT_MAX));
         else
             fatal("unknown option '", arg, "' (try --help)");
     }
@@ -495,7 +537,7 @@ run(const Options &o)
             fatal("--scenario cannot be combined with --trace, "
                   "--record or --stats");
         }
-        if (o.apw > 0) {
+        if (o.apw) {
             fatal("--apw does not apply to scenarios; set \"apw\" on "
                   "each stream in ", o.scenarioPath);
         }
@@ -504,9 +546,9 @@ run(const Options &o)
 
     WorkloadProfile profile = findBenchmark(o.benchmark);
     profile = profile.withInputScale(o.inputScale);
-    if (o.apw > 0) {
+    if (o.apw) {
         for (auto &phase : profile.phases)
-            phase.accessesPerWarp = o.apw;
+            phase.accessesPerWarp = *o.apw;
     }
 
     if (scenario) {
